@@ -18,7 +18,7 @@ from .delsolve import (
     solve_bvp,
     step,
 )
-from .derivatives import DerivativeConfig, check_gradient, cross_partial, partial
+from .derivatives import check_gradient, cross_partial, partial
 from .errors import (
     DimensionError,
     NonConvergenceError,
@@ -26,7 +26,6 @@ from .errors import (
     RegularityError,
 )
 from .geometry import (
-    ExtendedPoint,
     GroupAction,
     check_momentum_conservation,
     check_symplecticity,
@@ -53,6 +52,7 @@ from .applications import (
     InterpolationSpec,
     UnderactuatedSpec,
     beam_system,
+    great_circle_state,
     recover_controls,
     solve_interpolation,
     solve_ocp,

@@ -7,13 +7,18 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from .core import ConstrainedSystem, DiscretePath, MultiplierSequence, WindowFunction
-from .delsolve import DEFAULT_MAX_ITER, DEFAULT_TOL, solve_masked
-from .derivatives import DerivativeConfig, partial
+from .core import ConstrainedSystem, WindowFunction
+from .delsolve import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
+    BoundaryData,
+    StepState,
+    initial_guess,
+    solve_masked,
+)
+from .derivatives import partial
 from .errors import DimensionError, NumericError
 from .timedep import TimeDependentLagrangian
-
-_DERIV = DerivativeConfig()
 
 _PIN_TOL = 1e-12
 
@@ -65,6 +70,27 @@ def sphere_multiplier(window, r: float, h: float) -> float:
     return -bracket / (2.0 * r ** 2 * h ** 3)
 
 
+def great_circle_state(r: float, h: float) -> StepState:
+    """Sphere-spline step state on a uniformly rotating great circle.
+
+    Nodes q_i = r (cos 0.05 i, sin 0.05 i, 0) for i = 0..3, with the
+    closed-form multipliers of the solution through them.
+    """
+    theta = 0.05
+
+    def q(i):
+        return r * np.array([np.cos(i * theta), np.sin(i * theta), 0.0])
+
+    nodes = np.array([q(i) for i in range(4)])
+    lams = np.array(
+        [
+            [sphere_multiplier(np.array([q(j) for j in range(p - 2, p + 3)]), r, h)]
+            for p in (2, 3)
+        ]
+    )
+    return StepState(nodes, lams)
+
+
 @dataclass(frozen=True)
 class InterpolationSpec:
     """Pinned interior nodes plus the 2k boundary nodes of a spline BVP."""
@@ -95,10 +121,7 @@ def solve_interpolation(
     replace them); constraints stay imposed on every window.
     """
     k, n = system.k, system.n
-    if spec.head.shape != (k, n) or spec.tail.shape != (k, n):
-        raise DimensionError(f"boundary blocks must have shape {(k, n)}")
-    if N <= 2 * k:
-        raise DimensionError(f"need N > 2k, got N={N}")
+    boundary = BoundaryData(spec.head, spec.tail, N).checked(k, n)
     for i, point in spec.pins.items():
         if not k <= i <= N - k:
             raise DimensionError(f"pin index {i} outside interior range {k}..{N - k}")
@@ -108,33 +131,8 @@ def solve_interpolation(
         for phi in system.constraints:
             if abs(phi.value(constant)) > _PIN_TOL:
                 raise DimensionError(f"pinned point at index {i} violates a constraint")
-
-    nodes0 = np.zeros((N + 1, n))
-    nodes0[:k] = spec.head
-    nodes0[N - k + 1 :] = spec.tail
-    anchors = [(k - 1, spec.head[-1])]
-    anchors += sorted(spec.pins.items())
-    anchors.append((N - k + 1, spec.tail[0]))
-    for (ia, qa), (ib, qb) in zip(anchors, anchors[1:]):
-        for p in range(ia + 1, ib):
-            t = (p - ia) / (ib - ia)
-            nodes0[p] = (1.0 - t) * qa + t * qb
-    for i, point in spec.pins.items():
-        nodes0[i] = point
-
-    q_mask = np.zeros((N + 1, n), dtype=bool)
-    q_mask[k : N - k + 1] = True
-    for i in spec.pins:
-        q_mask[i] = False
-    return solve_masked(
-        system,
-        nodes0,
-        np.zeros((N - k + 1, system.m)),
-        q_mask,
-        q_mask.copy(),
-        tol,
-        max_iter,
-    )
+    nodes0, q_mask = initial_guess(boundary, spec.pins)
+    return solve_masked(system, nodes0, q_mask, tol, max_iter)
 
 
 def beam_system(
@@ -229,8 +227,8 @@ def _forced_terms(spec: UnderactuatedSpec, window3: np.ndarray) -> np.ndarray:
     pair12 = window3[1:3]
     dt1 = window3[1, 0] - window3[0, 0]
     dt2 = window3[2, 0] - window3[1, 0]
-    d4 = partial(spec.lagrangian, 2, pair01, _DERIV)[1:]
-    d2 = partial(spec.lagrangian, 1, pair12, _DERIV)[1:]
+    d4 = partial(spec.lagrangian, 2, pair01)[1:]
+    d2 = partial(spec.lagrangian, 1, pair12)[1:]
     return dt1 * d4 + dt2 * d2
 
 
@@ -296,31 +294,7 @@ def solve_ocp(
     if np.any(np.diff(times) <= 0):
         raise DimensionError("times must be strictly increasing")
     N = times.shape[0] - 1
-    n = spec.n
-    head = np.atleast_2d(np.asarray(head, dtype=float))
-    tail = np.atleast_2d(np.asarray(tail, dtype=float))
-    if head.shape != (2, n) or tail.shape != (2, n):
-        raise DimensionError(f"boundary blocks must have shape (2, {n})")
-    if N <= 4:
-        raise DimensionError(f"need N > 4, got N={N}")
-    system = underactuated_to_constrained(spec)
-    nodes0 = np.zeros((N + 1, n + 1))
-    nodes0[:, 0] = times
-    nodes0[:2, 1:] = head
-    nodes0[N - 1 :, 1:] = tail
-    span = (N - 1) - 1
-    for p in range(2, N - 1):
-        t = (p - 1) / span
-        nodes0[p, 1:] = (1.0 - t) * head[-1] + t * tail[0]
-    q_mask = np.zeros((N + 1, n + 1), dtype=bool)
-    q_mask[2 : N - 1, 1:] = True
-    path, mult, report = solve_masked(
-        system,
-        nodes0,
-        np.zeros((N - 1, system.m)),
-        q_mask,
-        q_mask.copy(),
-        tol,
-        max_iter,
-    )
-    return path, mult, report
+    nodes0, q_mask = initial_guess(BoundaryData(head, tail, N).checked(2, spec.n))
+    nodes0 = np.column_stack([times, nodes0])
+    q_mask = np.column_stack([np.zeros(N + 1, dtype=bool), q_mask])
+    return solve_masked(underactuated_to_constrained(spec), nodes0, q_mask, tol, max_iter)

@@ -24,10 +24,10 @@ from .applications import (
     InterpolationSpec,
     UnderactuatedSpec,
     beam_system,
+    great_circle_state,
     recover_controls,
     solve_interpolation,
     solve_ocp,
-    sphere_multiplier,
     sphere_spline_system,
 )
 from .core import ConstrainedSystem, DiscretePath, MultiplierSequence, WindowFunction, discrete_action
@@ -40,10 +40,10 @@ from .delsolve import (
     solve_bvp,
     step,
 )
-from .derivatives import DerivativeConfig, check_gradient
+from .derivatives import check_gradient
 from .errors import DimensionError, NonConvergenceError, NumericError, RegularityError
 from .geometry import check_momentum_conservation, check_symplecticity, rotation_action
-from .timedep import TimedPath, discrete_energy, solve_free_times
+from .timedep import TimedPath, discrete_energy, extend, solve_free_times
 
 log = logging.getLogger("hovi")
 
@@ -63,6 +63,8 @@ class ConfigError(Exception):
 # config handling
 
 def _require_keys(d: dict, allowed: set, required: set, where: str) -> None:
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be a JSON object")
     unknown = set(d) - allowed
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
@@ -89,6 +91,12 @@ def load_config(path: str) -> dict:
     )
     if cfg["system"] not in _SYSTEMS:
         raise ConfigError(f"unknown system {cfg['system']!r}, expected one of {_SYSTEMS}")
+    if "pins" in cfg and cfg["system"] != "sphere-spline":
+        raise ConfigError(f"pins are not supported for system {cfg['system']!r}")
+    boundary_keys = {"head", "tail"}
+    if cfg["system"] == "beam":
+        boundary_keys |= {"head_times", "tail_times"}
+    _require_keys(cfg.get("boundary", {}), boundary_keys, set(), "boundary")
     solver = cfg.get("solver", {})
     _require_keys(solver, {"tol", "max_iter"}, set(), "solver")
     tol = float(solver.get("tol", DEFAULT_TOL))
@@ -112,9 +120,17 @@ def load_config(path: str) -> dict:
     return cfg
 
 
+def _validated(validate, arg):
+    """Run one config step; bad values in the config become ConfigError."""
+    try:
+        return validate(arg)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _boundary_block(cfg: dict, key: str, shape) -> np.ndarray:
-    boundary = cfg.get("boundary")
-    if not isinstance(boundary, dict) or key not in boundary:
+    boundary = cfg.get("boundary", {})
+    if key not in boundary:
         raise ConfigError(f"boundary.{key} is required for system {cfg['system']!r}")
     arr = np.asarray(boundary[key], dtype=float)
     if arr.shape != shape:
@@ -190,9 +206,10 @@ def _validate_sphere(cfg: dict):
     system = sphere_spline_system(r, h)
     head = _boundary_block(cfg, "head", (2, 3))
     tail = _boundary_block(cfg, "tail", (2, 3))
-    pins = {}
-    for key, val in cfg.get("pins", {}).items():
-        pins[int(key)] = np.asarray(val, dtype=float)
+    pins = cfg.get("pins", {})
+    if not isinstance(pins, dict):
+        raise ConfigError("pins must be a JSON object")
+    pins = {int(key): np.asarray(val, dtype=float) for key, val in pins.items()}
     return system, r, h, N, head, tail, pins
 
 
@@ -204,15 +221,9 @@ def _validate_beam(cfg: dict):
         raise ConfigError("beam needs N > 4")
     mu, rho, dmu, drho = _build_mu_rho(params)
     system = beam_system(mu, rho, dmu, drho)
-    boundary = cfg.get("boundary")
-    if not isinstance(boundary, dict):
-        raise ConfigError("beam config requires boundary data")
-    _require_keys(
-        boundary,
-        {"head_times", "head", "tail_times", "tail"},
-        {"head_times", "head", "tail_times", "tail"},
-        "boundary",
-    )
+    boundary = cfg.get("boundary", {})
+    keys = {"head_times", "head", "tail_times", "tail"}
+    _require_keys(boundary, keys, keys, "boundary")
     try:
         head = TimedPath(boundary["head_times"], boundary["head"])
         tail = TimedPath(boundary["tail_times"], boundary["tail"])
@@ -307,6 +318,13 @@ def _validate_custom(cfg: dict):
     return system, N
 
 
+def _validate_custom_run(cfg: dict):
+    system, N = _validate_custom(cfg)
+    head = _boundary_block(cfg, "head", (system.k, system.n))
+    tail = _boundary_block(cfg, "tail", (system.k, system.n))
+    return system, N, head, tail
+
+
 # ---------------------------------------------------------------------------
 # output writers
 
@@ -359,37 +377,23 @@ def _report_payload(report) -> dict:
     }
 
 
-def _run_sphere(cfg: dict, out_dir: str) -> int:
-    system, r, h, N, head, tail, pins = _validate_sphere(cfg)
-    tol, max_iter = cfg["solver"]["tol"], cfg["solver"]["max_iter"]
-    diag: dict = {"system": "sphere-spline", "converged": False}
-    code = EXIT_OK
-    try:
-        if pins:
-            spec = InterpolationSpec(head, tail, pins)
-            path, mult, report = solve_interpolation(system, spec, N, tol, max_iter)
-        else:
-            boundary = BoundaryData(head, tail, N)
-            path, mult, report = solve_bvp(system, boundary, tol=tol, max_iter=max_iter)
-    except NonConvergenceError as exc:
-        log.warning("sphere solve did not converge: %s", exc)
-        diag.update(_report_payload(exc.report))
-        diag["converged"] = False
-        _write_json(os.path.join(out_dir, cfg["output"]["diagnostics"]), diag)
-        return EXIT_NONCONVERGENCE
-    diag.update(_report_payload(report))
-    times = h * np.arange(N + 1)
-    _write_csv(
-        os.path.join(out_dir, cfg["output"]["trajectory"]),
-        times,
-        path.nodes,
-        mult.lambdas,
-    )
+def _solve_sphere(problem, tol, max_iter):
+    system, r, h, N, head, tail, pins = problem
+    if pins:
+        spec = InterpolationSpec(head, tail, pins)
+        return solve_interpolation(system, spec, N, tol, max_iter)
+    return solve_bvp(system, BoundaryData(head, tail, N), tol=tol, max_iter=max_iter)
+
+
+def _write_sphere(cfg, problem, solution, diag, trajectory):
+    system, r, h, N, head, tail, pins = problem
+    path, mult, _ = solution
+    _write_csv(trajectory, h * np.arange(N + 1), path.nodes, mult.lambdas)
     diag["max_norm_defect"] = float(
         np.max(np.abs(np.linalg.norm(path.nodes, axis=1) - r))
     )
     if cfg["diagnostics"]["symplectic"] or cfg["diagnostics"]["momentum"]:
-        k = system.k
+        k, tol = system.k, cfg["solver"]["tol"]
         state = StepState(path.nodes[: 2 * k], mult.lambdas[:k])
         if cfg["diagnostics"]["symplectic"]:
             srep = check_symplecticity(system, state, tol=tol)
@@ -403,29 +407,17 @@ def _run_sphere(cfg: dict, out_dir: str) -> int:
             diag["momentum_drift"] = float(
                 check_momentum_conservation(system, rotation_action(), traj)
             )
-    _write_json(os.path.join(out_dir, cfg["output"]["diagnostics"]), diag)
-    return code
 
 
-def _run_beam(cfg: dict, out_dir: str) -> int:
-    system, N, head, tail = _validate_beam(cfg)
-    tol, max_iter = cfg["solver"]["tol"], cfg["solver"]["max_iter"]
-    diag: dict = {"system": "beam", "converged": False}
-    try:
-        timed, report = solve_free_times(system, head, tail, N, tol=tol, max_iter=max_iter)
-    except NonConvergenceError as exc:
-        log.warning("beam solve did not converge: %s", exc)
-        diag.update(_report_payload(exc.report))
-        diag["converged"] = False
-        _write_json(os.path.join(out_dir, cfg["output"]["diagnostics"]), diag)
-        return EXIT_NONCONVERGENCE
-    diag.update(_report_payload(report))
-    _write_csv(
-        os.path.join(out_dir, cfg["output"]["trajectory"]),
-        timed.times,
-        timed.nodes,
-        None,
-    )
+def _solve_beam(problem, tol, max_iter):
+    system, N, head, tail = problem
+    return solve_free_times(system, head, tail, N, tol=tol, max_iter=max_iter)
+
+
+def _write_beam(cfg, problem, solution, diag, trajectory):
+    system = problem[0]
+    timed, _ = solution
+    _write_csv(trajectory, timed.times, timed.nodes, None)
     if cfg["diagnostics"]["energy"]:
         energies = [
             discrete_energy(system, timed.times, timed.nodes, i)
@@ -433,72 +425,60 @@ def _run_beam(cfg: dict, out_dir: str) -> int:
         ]
         diag["energy_series"] = [float(v) for v in energies]
         diag["energy_drift"] = float(max(energies) - min(energies))
-    _write_json(os.path.join(out_dir, cfg["output"]["diagnostics"]), diag)
-    return EXIT_OK
 
 
-def _run_ocp(cfg: dict, out_dir: str) -> int:
-    spec, times, head, tail = _validate_ocp(cfg)
-    tol, max_iter = cfg["solver"]["tol"], cfg["solver"]["max_iter"]
-    diag: dict = {"system": "ocp", "converged": False}
-    try:
-        path, mult, report = solve_ocp(spec, times, head, tail, tol=tol, max_iter=max_iter)
-    except NonConvergenceError as exc:
-        log.warning("ocp solve did not converge: %s", exc)
-        diag.update(_report_payload(exc.report))
-        diag["converged"] = False
-        _write_json(os.path.join(out_dir, cfg["output"]["diagnostics"]), diag)
-        return EXIT_NONCONVERGENCE
-    diag.update(_report_payload(report))
-    _write_csv(
-        os.path.join(out_dir, cfg["output"]["trajectory"]),
-        times,
-        path.nodes[:, 1:],
-        mult.lambdas,
-    )
+def _solve_ocp(problem, tol, max_iter):
+    return solve_ocp(*problem, tol=tol, max_iter=max_iter)
+
+
+def _write_ocp(cfg, problem, solution, diag, trajectory):
+    spec, times, _, _ = problem
+    path, mult, _ = solution
+    _write_csv(trajectory, times, path.nodes[:, 1:], mult.lambdas)
     controls = recover_controls(spec, times, path.nodes[:, 1:])
     diag["controls"] = [[float(v) for v in row] for row in controls]
-    _write_json(os.path.join(out_dir, cfg["output"]["diagnostics"]), diag)
-    return EXIT_OK
 
 
-def _run_custom(cfg: dict, out_dir: str) -> int:
-    system, N = _validate_custom(cfg)
-    k, n = system.k, system.n
-    head = _boundary_block(cfg, "head", (k, n))
-    tail = _boundary_block(cfg, "tail", (k, n))
-    tol, max_iter = cfg["solver"]["tol"], cfg["solver"]["max_iter"]
-    diag: dict = {"system": "custom-polynomial", "converged": False}
-    try:
-        path, mult, report = solve_bvp(
-            system, BoundaryData(head, tail, N), tol=tol, max_iter=max_iter
-        )
-    except NonConvergenceError as exc:
-        log.warning("custom solve did not converge: %s", exc)
-        diag.update(_report_payload(exc.report))
-        diag["converged"] = False
-        _write_json(os.path.join(out_dir, cfg["output"]["diagnostics"]), diag)
-        return EXIT_NONCONVERGENCE
-    diag.update(_report_payload(report))
-    _write_csv(
-        os.path.join(out_dir, cfg["output"]["trajectory"]),
-        np.arange(N + 1, dtype=float),
-        path.nodes,
-        mult.lambdas if system.m else None,
-    )
-    _write_json(os.path.join(out_dir, cfg["output"]["diagnostics"]), diag)
-    return EXIT_OK
+def _solve_custom(problem, tol, max_iter):
+    system, N, head, tail = problem
+    return solve_bvp(system, BoundaryData(head, tail, N), tol=tol, max_iter=max_iter)
+
+
+def _write_custom(cfg, problem, solution, diag, trajectory):
+    system, N, _, _ = problem
+    path, mult, _ = solution
+    lambdas = mult.lambdas if system.m else None
+    _write_csv(trajectory, np.arange(N + 1, dtype=float), path.nodes, lambdas)
+
+
+# system -> (validate the config, solve, write the trajectory and the
+# system's own diagnostics)
+_RUNS = {
+    "sphere-spline": (_validate_sphere, _solve_sphere, _write_sphere),
+    "beam": (_validate_beam, _solve_beam, _write_beam),
+    "ocp": (_validate_ocp, _solve_ocp, _write_ocp),
+    "custom-polynomial": (_validate_custom_run, _solve_custom, _write_custom),
+}
 
 
 def run_command(cfg: dict, out_dir: str) -> int:
+    validate, solve, write = _RUNS[cfg["system"]]
     os.makedirs(out_dir, exist_ok=True)
-    dispatch = {
-        "sphere-spline": _run_sphere,
-        "beam": _run_beam,
-        "ocp": _run_ocp,
-        "custom-polynomial": _run_custom,
-    }
-    return dispatch[cfg["system"]](cfg, out_dir)
+    problem = _validated(validate, cfg)
+    diagnostics = os.path.join(out_dir, cfg["output"]["diagnostics"])
+    diag: dict = {"system": cfg["system"]}
+    try:
+        solution = solve(problem, cfg["solver"]["tol"], cfg["solver"]["max_iter"])
+    except NonConvergenceError as exc:
+        log.warning("%s solve did not converge: %s", cfg["system"], exc)
+        diag.update(_report_payload(exc.report))
+        diag["converged"] = False
+        _write_json(diagnostics, diag)
+        return EXIT_NONCONVERGENCE
+    diag.update(_report_payload(solution[-1]))
+    write(cfg, problem, solution, diag, os.path.join(out_dir, cfg["output"]["trajectory"]))
+    _write_json(diagnostics, diag)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +511,6 @@ def _variational_consistency(system: ConstrainedSystem, N: int, rng) -> float:
 
 
 def _gradient_checks(system: ConstrainedSystem, rng, samples: int = 3) -> float:
-    config = DerivativeConfig()
     worst = 0.0
     funcs = [system.lagrangian] + list(system.constraints)
     for func in funcs:
@@ -539,7 +518,7 @@ def _gradient_checks(system: ConstrainedSystem, rng, samples: int = 3) -> float:
             continue
         for _ in range(samples):
             w = rng.normal(size=(system.k + 1, system.n))
-            worst = max(worst, check_gradient(func, w, config))
+            worst = max(worst, check_gradient(func, w))
     return worst
 
 
@@ -559,34 +538,10 @@ def check_command(cfg: dict) -> int:
 
     name = cfg["system"]
     if name == "sphere-spline":
-        system, r, h, N, head, tail, pins = _validate_sphere(cfg)
+        system, r, h, N, head, tail, pins = _validated(_validate_sphere, cfg)
         add("gradient_check", _gradient_checks(system, rng), 1e-5)
         add("variational_consistency", _variational_consistency(system, 2 * system.k + 2, rng), 1e-6)
-        theta = 0.05
-        qs = np.array(
-            [r * np.array([np.cos(i * theta), np.sin(i * theta), 0.0]) for i in range(4)]
-        )
-        lams = np.array(
-            [
-                [
-                    sphere_multiplier(
-                        np.array(
-                            [
-                                r
-                                * np.array(
-                                    [np.cos(j * theta), np.sin(j * theta), 0.0]
-                                )
-                                for j in range(p - 2, p + 3)
-                            ]
-                        ),
-                        r,
-                        h,
-                    )
-                ]
-                for p in (2, 3)
-            ]
-        )
-        state = StepState(qs, lams)
+        state = great_circle_state(r, h)
         srep = check_symplecticity(system, state)
         add("symplectic_restricted_defect", srep.defect_norm, 1e-4)
         traj = [state]
@@ -599,8 +554,7 @@ def check_command(cfg: dict) -> int:
             1e-8,
         )
     elif name == "beam":
-        system, N, head, tail = _validate_beam(cfg)
-        from .timedep import extend
+        system, N, head, tail = _validated(_validate_beam, cfg)
 
         extended = extend(system)
         add("gradient_check", _gradient_checks(extended, rng), 1e-5)
@@ -610,11 +564,11 @@ def check_command(cfg: dict) -> int:
             1e-6,
         )
     elif name == "ocp":
-        spec, times, head, tail = _validate_ocp(cfg)
+        spec, times, head, tail = _validated(_validate_ocp, cfg)
         add("gradient_check", _gradient_checks(
             ConstrainedSystem(1, spec.n + 1, spec.lagrangian, ()), rng), 1e-5)
     else:
-        system, N = _validate_custom(cfg)
+        system, N = _validated(_validate_custom, cfg)
         add("gradient_check", _gradient_checks(system, rng), 1e-5)
         add(
             "variational_consistency",
@@ -655,7 +609,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = load_config(args.config)
+        cfg = _validated(load_config, args.config)
         if args.command == "run":
             if args.tol is not None:
                 if args.tol <= 0:

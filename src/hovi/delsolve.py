@@ -18,10 +18,8 @@ from .core import (
     MultiplierSequence,
     as_window,
 )
-from .derivatives import DerivativeConfig, cross_partial, partial
+from .derivatives import cross_partial, partial
 from .errors import DimensionError, NonConvergenceError, NumericError, RegularityError
-
-_DERIV = DerivativeConfig()
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 50
@@ -53,10 +51,22 @@ class BoundaryData:
     def k(self) -> int:
         return self.head.shape[0]
 
+    def checked(self, k: int, n: int) -> "BoundaryData":
+        """This boundary data, after checking its blocks have shape (k, n)."""
+        if self.head.shape != (k, n):
+            raise DimensionError(
+                f"boundary blocks have shape {self.head.shape}, expected {(k, n)}"
+            )
+        return self
+
 
 @dataclass(frozen=True)
 class StepState:
-    """2k consecutive nodes and the k trailing multiplier vectors."""
+    """2k consecutive nodes and the k trailing multiplier vectors.
+
+    The state of the one-step map and the point at which the boundary
+    one-forms, the two-form and the momentum maps are evaluated.
+    """
 
     configs: np.ndarray
     multipliers: np.ndarray
@@ -81,6 +91,17 @@ class StepState:
     def k(self) -> int:
         return self.configs.shape[0] // 2
 
+    def flatten(self) -> np.ndarray:
+        """Coordinates z: the configs row by row, then the multipliers."""
+        return np.concatenate([self.configs.ravel(), self.multipliers.ravel()])
+
+    def checked(self, system: ConstrainedSystem) -> "StepState":
+        """This state, after checking it matches the system's (k, n, m)."""
+        k, n, m = system.k, system.n, system.m
+        if self.k != k or self.configs.shape[1] != n or self.multipliers.shape[1] != m:
+            raise DimensionError("step state does not match system (k, n, m)")
+        return self
+
 
 @dataclass
 class SolveReport:
@@ -103,9 +124,9 @@ def _del_residual_nodes(
     for j in range(1, k + 2):
         s = p - j + 1
         window = nodes[s : s + k + 1]
-        res += partial(system.lagrangian, j, window, _DERIV)
+        res += partial(system.lagrangian, j, window)
         for alpha, phi in enumerate(system.constraints):
-            res += lambdas[s, alpha] * partial(phi, j, window, _DERIV)
+            res += lambdas[s, alpha] * partial(phi, j, window)
     return res
 
 
@@ -149,14 +170,14 @@ def regularity_matrix(system: ConstrainedSystem, window, lam) -> np.ndarray:
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     if lam.shape != (m,):
         raise DimensionError(f"lambda has shape {lam.shape}, expected ({m},)")
-    top_left = cross_partial(system.lagrangian, 1, k + 1, w, _DERIV)
+    top_left = cross_partial(system.lagrangian, 1, k + 1, w)
     for alpha, phi in enumerate(system.constraints):
-        top_left = top_left + lam[alpha] * cross_partial(phi, 1, k + 1, w, _DERIV)
+        top_left = top_left + lam[alpha] * cross_partial(phi, 1, k + 1, w)
     mat = np.zeros((n + m, n + m))
     mat[:n, :n] = top_left
     for alpha, phi in enumerate(system.constraints):
-        mat[:n, n + alpha] = partial(phi, k + 1, w, _DERIV)
-        mat[n + alpha, :n] = partial(phi, 1, w, _DERIV)
+        mat[:n, n + alpha] = partial(phi, k + 1, w)
+        mat[n + alpha, :n] = partial(phi, 1, w)
     return mat
 
 
@@ -196,11 +217,6 @@ def newton_solve(residual, x0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
         u, sv, vt = np.linalg.svd(jac)
         utf = u.T @ f
 
-        # Pure Newton first; if backtracking cannot find a decrease
-        # (typical near reparametrization-degenerate free-time systems,
-        # where tiny singular values blow the step up along directions
-        # the local model does not trust), retry with increasing
-        # Levenberg-Marquardt damping.
         # Damped Newton with a Levenberg-Marquardt ladder.  Each rung
         # backtracks under a sufficient-decrease test; near-degenerate
         # systems (free-time problems are close to reparametrization
@@ -271,54 +287,73 @@ def _fd_jacobian(residual, x, f0):
     return jac
 
 
+def initial_guess(boundary: BoundaryData, pins=None):
+    """Linear initial guess for a boundary-value solve and its unknown mask.
+
+    Copies the head and tail blocks and interpolates the interior
+    linearly through the anchors (k-1, head[-1]), the pinned nodes
+    (index -> point) and (N-k+1, tail[0]).  The mask marks every interior
+    coordinate except those of the pinned nodes.
+    """
+    k, N = boundary.k, boundary.N
+    pins = pins or {}
+    nodes = np.zeros((N + 1, boundary.head.shape[1]))
+    nodes[:k] = boundary.head
+    nodes[N - k + 1 :] = boundary.tail
+    anchors = [(k - 1, boundary.head[-1])]
+    anchors += sorted(pins.items())
+    anchors.append((N - k + 1, boundary.tail[0]))
+    for (ia, qa), (ib, qb) in zip(anchors, anchors[1:]):
+        for p in range(ia + 1, ib):
+            t = (p - ia) / (ib - ia)
+            nodes[p] = (1.0 - t) * qa + t * qb
+    mask = np.zeros(nodes.shape, dtype=bool)
+    mask[k : N - k + 1] = True
+    for i, point in pins.items():
+        nodes[i] = point
+        mask[i] = False
+    return nodes, mask
+
+
 def solve_masked(
     system: ConstrainedSystem,
     nodes0: np.ndarray,
-    lambdas0: np.ndarray,
     q_mask: np.ndarray,
-    eq_mask: np.ndarray,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ):
     """Newton solve with selected node coordinates as unknowns.
 
-    q_mask marks unknown scalar coordinates, eq_mask the residual
-    components imposed (interior rows only).  All multipliers are
-    unknown and all window constraints imposed whenever m > 0.
+    q_mask marks the unknown scalar coordinates (interior nodes only);
+    the DEL residual is imposed on exactly those components.  All
+    multipliers are unknown, starting from zero, and all window
+    constraints are imposed whenever m > 0.
     """
-    k, n, m = system.k, system.n, system.m
+    k, m = system.k, system.m
     nodes0 = np.asarray(nodes0, dtype=float)
     N = nodes0.shape[0] - 1
     nwin = N - k + 1
-    lambdas0 = np.asarray(lambdas0, dtype=float).reshape(nwin, m)
     q_mask = np.asarray(q_mask, dtype=bool)
-    eq_mask = np.asarray(eq_mask, dtype=bool)
-    if q_mask.shape != nodes0.shape or eq_mask.shape != nodes0.shape:
-        raise DimensionError("masks must match the node array shape")
-    if q_mask[: k].any() or q_mask[N - k + 1 :].any():
+    if q_mask.shape != nodes0.shape:
+        raise DimensionError("mask must match the node array shape")
+    if q_mask[:k].any() or q_mask[N - k + 1 :].any():
         raise DimensionError("boundary nodes cannot be unknowns")
-    if eq_mask[:k].any() or eq_mask[N - k + 1 :].any():
-        raise DimensionError("residual equations exist only at interior nodes")
     nq = int(q_mask.sum())
-    if nq != int(eq_mask.sum()):
-        raise DimensionError(
-            f"{nq} unknown coordinates vs {int(eq_mask.sum())} equations"
-        )
-    eq_rows = [p for p in range(k, N - k + 1) if eq_mask[p].any()]
+    eq_rows = [p for p in range(k, N - k + 1) if q_mask[p].any()]
 
     def residual(x):
         nodes = nodes0.copy()
         nodes[q_mask] = x[:nq]
         lams = x[nq:].reshape(nwin, m)
         parts = [
-            _del_residual_nodes(system, nodes, lams, p)[eq_mask[p]] for p in eq_rows
+            _del_residual_nodes(system, nodes, lams, p)[q_mask[p]] for p in eq_rows
         ]
         for i in range(nwin):
             window = nodes[i : i + k + 1]
             parts.append(np.array([phi.value(window) for phi in system.constraints]))
         return np.concatenate(parts) if parts else np.zeros(0)
 
-    x0 = np.concatenate([nodes0[q_mask], lambdas0.ravel()])
+    x0 = np.concatenate([nodes0[q_mask], np.zeros(nwin * m)])
 
     # A constraint whose window holds only fixed nodes (and whose
     # multiplier consequently enters no retained equation) would make the
@@ -375,7 +410,6 @@ def solve_bvp(
     system: ConstrainedSystem,
     boundary: BoundaryData,
     guess_path: DiscretePath | None = None,
-    guess_multipliers: MultiplierSequence | None = None,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ):
@@ -383,36 +417,17 @@ def solve_bvp(
 
     Unknowns are the interior nodes q_k..q_{N-k} and all multipliers;
     equations are the DEL residuals at every interior node and the
-    constraints on every window.
+    constraints on every window.  The interior starts from guess_path
+    when given, from the linear initial guess otherwise.
     """
-    k, n, m = system.k, system.n, system.m
-    if boundary.k != k or boundary.head.shape[1] != n:
-        raise DimensionError("boundary data does not match system (k, n)")
-    N = boundary.N
-    nwin = N - k + 1
-
-    nodes0 = np.zeros((N + 1, n))
-    nodes0[:k] = boundary.head
-    nodes0[N - k + 1 :] = boundary.tail
+    k, n = system.k, system.n
+    N = boundary.checked(k, n).N
+    nodes0, q_mask = initial_guess(boundary)
     if guess_path is not None:
         if guess_path.nodes.shape != (N + 1, n):
             raise DimensionError("guess path shape does not match boundary data")
-        nodes0[k : N - k + 1] = guess_path.nodes[k : N - k + 1]
-    else:
-        a = boundary.head[-1]
-        b = boundary.tail[0]
-        span = (N - k + 1) - (k - 1)
-        for p in range(k, N - k + 1):
-            t = (p - (k - 1)) / span
-            nodes0[p] = (1.0 - t) * a + t * b
-    if guess_multipliers is not None:
-        lambdas0 = guess_multipliers.lambdas.reshape(nwin, m)
-    else:
-        lambdas0 = np.zeros((nwin, m))
-
-    q_mask = np.zeros((N + 1, n), dtype=bool)
-    q_mask[k : N - k + 1] = True
-    return solve_masked(system, nodes0, lambdas0, q_mask, q_mask.copy(), tol, max_iter)
+        nodes0[q_mask] = guess_path.nodes[q_mask]
+    return solve_masked(system, nodes0, q_mask, tol, max_iter)
 
 
 def step(
@@ -433,8 +448,7 @@ def step(
     node, as in the sphere-spline equations.
     """
     k, n, m = system.k, system.n, system.m
-    if state.k != k or state.configs.shape[1] != n or state.multipliers.shape[1] != m:
-        raise DimensionError("step state does not match system (k, n, m)")
+    state.checked(system)
     nodes = np.zeros((2 * k + 1, n))
     nodes[: 2 * k] = state.configs
     nodes[2 * k] = 2.0 * state.configs[-1] - state.configs[-2]
@@ -447,7 +461,7 @@ def step(
     for phi in system.constraints:
         found = None
         for j in range(k + 1, 0, -1):
-            if np.any(partial(phi, j, probe, _DERIV) != 0.0):
+            if np.any(partial(phi, j, probe) != 0.0):
                 found = j
                 break
         if found is None:

@@ -7,28 +7,12 @@ step.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import WindowFunction, as_window
 from .errors import DimensionError, NumericError
 
-DEFAULT_FD_STEP = 1e-6
-DEFAULT_CHECK_TOL = 1e-5
-
-
-@dataclass(frozen=True)
-class DerivativeConfig:
-    fd_step: float = DEFAULT_FD_STEP
-    check_tol: float = DEFAULT_CHECK_TOL
-
-    def __post_init__(self):
-        if self.fd_step <= 0 or self.check_tol <= 0:
-            raise DimensionError("fd_step and check_tol must be positive")
-
-
-_DEFAULT = DerivativeConfig()
+FD_STEP = 1e-6
 
 
 def _check_factor(f: WindowFunction, j: int) -> None:
@@ -40,14 +24,12 @@ def _steps(coords: np.ndarray, scale: float) -> np.ndarray:
     return scale * np.maximum(1.0, np.abs(coords))
 
 
-def partial_fd(
-    f: WindowFunction, j: int, window, cfg: DerivativeConfig = _DEFAULT
-) -> np.ndarray:
+def partial_fd(f: WindowFunction, j: int, window) -> np.ndarray:
     """Central-difference D_j f, ignoring any analytic partials."""
     _check_factor(f, j)
     w = as_window(window, f.k, f.n)
     grad = np.empty(f.n)
-    hs = _steps(w[j - 1], cfg.fd_step)
+    hs = _steps(w[j - 1], FD_STEP)
     for a in range(f.n):
         wp = w.copy()
         wm = w.copy()
@@ -59,9 +41,7 @@ def partial_fd(
     return grad
 
 
-def partial(
-    f: WindowFunction, j: int, window, cfg: DerivativeConfig = _DEFAULT
-) -> np.ndarray:
+def partial(f: WindowFunction, j: int, window) -> np.ndarray:
     """D_j f on the window: analytic when supplied, central difference otherwise."""
     _check_factor(f, j)
     w = as_window(window, f.k, f.n)
@@ -72,31 +52,29 @@ def partial(
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite analytic partial D_{j}")
         return g
-    return partial_fd(f, j, w, cfg)
+    return partial_fd(f, j, w)
 
 
-def cross_partial(
-    f: WindowFunction, j1: int, j2: int, window, cfg: DerivativeConfig = _DEFAULT
-) -> np.ndarray:
+def cross_partial(f: WindowFunction, j1: int, j2: int, window) -> np.ndarray:
     """Matrix of second partials, entry [a, b] = d^2 f / d w_{j1,a} d w_{j2,b}.
 
     With analytic first partials: central difference of D_{j2} along factor
-    j1.  Fully numeric: four-point cross stencil with step fd_step**0.5.
+    j1.  Fully numeric: four-point cross stencil with step FD_STEP**0.5.
     """
     _check_factor(f, j1)
     _check_factor(f, j2)
     w = as_window(window, f.k, f.n)
     mat = np.empty((f.n, f.n))
     if f.partials is not None:
-        hs = _steps(w[j1 - 1], cfg.fd_step)
+        hs = _steps(w[j1 - 1], FD_STEP)
         for a in range(f.n):
             wp = w.copy()
             wm = w.copy()
             wp[j1 - 1, a] += hs[a]
             wm[j1 - 1, a] -= hs[a]
-            mat[a] = (partial(f, j2, wp, cfg) - partial(f, j2, wm, cfg)) / (2.0 * hs[a])
+            mat[a] = (partial(f, j2, wp) - partial(f, j2, wm)) / (2.0 * hs[a])
     else:
-        scale = cfg.fd_step ** 0.5
+        scale = FD_STEP ** 0.5
         h1 = _steps(w[j1 - 1], scale)
         h2 = _steps(w[j2 - 1], scale)
         for a in range(f.n):
@@ -121,17 +99,15 @@ def cross_partial(
     return mat
 
 
-def check_gradient(
-    f: WindowFunction, window, cfg: DerivativeConfig = _DEFAULT
-) -> float:
+def check_gradient(f: WindowFunction, window) -> float:
     """Max relative discrepancy between analytic and central-difference partials."""
     if f.partials is None:
         raise DimensionError("check_gradient requires analytic partials")
     w = as_window(window, f.k, f.n)
     worst = 0.0
     for j in range(1, f.k + 2):
-        ana = partial(f, j, w, cfg)
-        num = partial_fd(f, j, w, cfg)
+        ana = partial(f, j, w)
+        num = partial_fd(f, j, w)
         rel = np.abs(ana - num) / (1.0 + np.abs(ana))
         worst = max(worst, float(rel.max()))
     return worst

@@ -15,10 +15,8 @@ import numpy as np
 
 from .core import ConstrainedSystem
 from .delsolve import StepState, step
-from .derivatives import DerivativeConfig, partial
+from .derivatives import partial
 from .errors import DimensionError, NumericError
-
-_DERIV = DerivativeConfig()
 
 
 @dataclass(frozen=True)
@@ -55,61 +53,21 @@ def translation_action(n: int) -> GroupAction:
     return GroupAction(tuple(make(a) for a in range(n)))
 
 
-@dataclass(frozen=True)
-class ExtendedPoint:
-    """A 2k-node window with its k multiplier vectors."""
-
-    configs: np.ndarray
-    lambdas: np.ndarray
-
-    def __post_init__(self):
-        configs = np.atleast_2d(np.asarray(self.configs, dtype=float))
-        lam = np.asarray(self.lambdas, dtype=float)
-        if lam.ndim == 1:
-            lam = lam[:, None]
-        if configs.shape[0] % 2 != 0 or configs.shape[0] < 2:
-            raise DimensionError("extended point needs 2k config rows")
-        if lam.shape[0] != configs.shape[0] // 2:
-            raise DimensionError(
-                f"expected {configs.shape[0] // 2} multiplier rows, got {lam.shape[0]}"
-            )
-        object.__setattr__(self, "configs", configs)
-        object.__setattr__(self, "lambdas", lam)
-
-    @property
-    def k(self) -> int:
-        return self.configs.shape[0] // 2
-
-    @classmethod
-    def from_state(cls, state: StepState) -> "ExtendedPoint":
-        return cls(state.configs, state.multipliers)
-
-    def flatten(self) -> np.ndarray:
-        return np.concatenate([self.configs.ravel(), self.lambdas.ravel()])
-
-
-def _check_point(system: ConstrainedSystem, point: ExtendedPoint) -> None:
-    if point.k != system.k or point.configs.shape[1] != system.n:
-        raise DimensionError("extended point does not match system (k, n)")
-    if point.lambdas.shape[1] != system.m:
-        raise DimensionError("extended point multipliers do not match system m")
-
-
 def _augmented_partial(system, j, window, lam):
-    g = partial(system.lagrangian, j, window, _DERIV)
+    g = partial(system.lagrangian, j, window)
     for alpha, phi in enumerate(system.constraints):
-        g = g + lam[alpha] * partial(phi, j, window, _DERIV)
+        g = g + lam[alpha] * partial(phi, j, window)
     return g
 
 
-def theta_minus(system: ConstrainedSystem, point: ExtendedPoint) -> np.ndarray:
+def theta_minus(system: ConstrainedSystem, point: StepState) -> np.ndarray:
     """Coefficients of the minus boundary one-form in dq_0..dq_{2k-1}.
 
     Nonzero only on the first k nodes; node i accumulates minus the sum
     of D_j terms over the windows containing it that start at or before
     node 0 ... node i.
     """
-    _check_point(system, point)
+    point.checked(system)
     k, n = system.k, system.n
     coeff = np.zeros((2 * k, n))
     for i in range(k):
@@ -117,17 +75,17 @@ def theta_minus(system: ConstrainedSystem, point: ExtendedPoint) -> np.ndarray:
         for j in range(1, i + 2):
             s = i - j + 1
             window = point.configs[s : s + k + 1]
-            acc += _augmented_partial(system, j, window, point.lambdas[s])
+            acc += _augmented_partial(system, j, window, point.multipliers[s])
         coeff[i] = -acc
     return coeff.ravel()
 
 
-def theta_plus(system: ConstrainedSystem, point: ExtendedPoint) -> np.ndarray:
+def theta_plus(system: ConstrainedSystem, point: StepState) -> np.ndarray:
     """Coefficients of the plus boundary one-form in dq_0..dq_{2k-1}.
 
     Mirror of theta_minus: nonzero only on the last k nodes.
     """
-    _check_point(system, point)
+    point.checked(system)
     k, n = system.k, system.n
     coeff = np.zeros((2 * k, n))
     for i in range(k, 2 * k):
@@ -135,7 +93,7 @@ def theta_plus(system: ConstrainedSystem, point: ExtendedPoint) -> np.ndarray:
         for j in range(i - k + 2, k + 2):
             s = i - j + 1
             window = point.configs[s : s + k + 1]
-            acc += _augmented_partial(system, j, window, point.lambdas[s])
+            acc += _augmented_partial(system, j, window, point.multipliers[s])
         coeff[i] = acc
     return coeff.ravel()
 
@@ -143,14 +101,14 @@ def theta_plus(system: ConstrainedSystem, point: ExtendedPoint) -> np.ndarray:
 def _theta_of_coords(system, z, which):
     k, n, m = system.k, system.n, system.m
     nq = 2 * k * n
-    point = ExtendedPoint(z[:nq].reshape(2 * k, n), z[nq:].reshape(k, m))
+    point = StepState(z[:nq].reshape(2 * k, n), z[nq:].reshape(k, m))
     th = theta_minus(system, point) if which == "minus" else theta_plus(system, point)
     return np.concatenate([th, np.zeros(k * m)])
 
 
 def omega_matrix(
     system: ConstrainedSystem,
-    point: ExtendedPoint,
+    point: StepState,
     which: str = "minus",
     fd_step: float = 1e-6,
 ) -> np.ndarray:
@@ -160,7 +118,7 @@ def omega_matrix(
     2k*n + k*m coordinates (configs first, multipliers after);
     antisymmetric by construction.
     """
-    _check_point(system, point)
+    point.checked(system)
     z0 = point.flatten()
     dim = z0.size
     dtheta = np.empty((dim, dim))
@@ -184,7 +142,7 @@ class SymplecticityReport:
     restricted: bool
 
 
-def _constraint_jacobian(system, point, fd_step=1e-6):
+def _constraint_jacobian(system, point):
     """Jacobian of the k window constraints over the extended coordinates."""
     k, n, m = system.k, system.n, system.m
     rows = []
@@ -194,7 +152,7 @@ def _constraint_jacobian(system, point, fd_step=1e-6):
             row = np.zeros(2 * k * n + k * m)
             for j in range(1, k + 2):
                 node = s + j - 1
-                row[node * n : (node + 1) * n] = partial(phi, j, window, _DERIV)
+                row[node * n : (node + 1) * n] = partial(phi, j, window)
             rows.append(row)
     return np.array(rows)
 
@@ -213,13 +171,13 @@ def check_symplecticity(
     Jacobian (tangent space of the constraint set).
     """
     k, n, m = system.k, system.n, system.m
-    z0 = np.concatenate([state.configs.ravel(), state.multipliers.ravel()])
+    z0 = state.flatten()
     dim = z0.size
 
     def step_map(z):
         st = StepState(z[: 2 * k * n].reshape(2 * k, n), z[2 * k * n :].reshape(k, m))
         nxt, _ = step(system, st, tol=tol)
-        return np.concatenate([nxt.configs.ravel(), nxt.multipliers.ravel()])
+        return nxt.flatten()
 
     jac = np.empty((dim, dim))
     for a in range(dim):
@@ -230,17 +188,15 @@ def check_symplecticity(
         zm[a] -= h
         jac[:, a] = (step_map(zp) - step_map(zm)) / (2.0 * h)
 
-    point = ExtendedPoint.from_state(state)
     next_state, _ = step(system, state, tol=tol)
-    next_point = ExtendedPoint.from_state(next_state)
-    omega_here = omega_matrix(system, point)
-    omega_next = omega_matrix(system, next_point)
+    omega_here = omega_matrix(system, state)
+    omega_next = omega_matrix(system, next_state)
 
     if m == 0:
         defect = jac.T @ omega_next @ jac - omega_here
         return SymplecticityReport(float(np.linalg.norm(defect)), restricted=False)
 
-    cjac = _constraint_jacobian(system, point)
+    cjac = _constraint_jacobian(system, state)
     _, sv, vt = np.linalg.svd(cjac)
     rank = int(np.sum(sv > max(1e-10, sv[0] * 1e-12))) if sv.size else 0
     basis = vt[rank:].T
@@ -254,7 +210,7 @@ def legendre_minus(system: ConstrainedSystem, q0, q1):
     if system.k != 1:
         raise DimensionError("discrete Legendre transforms require k = 1")
     window = np.vstack([np.atleast_1d(q0), np.atleast_1d(q1)])
-    p0 = -partial(system.lagrangian, 1, window, _DERIV)
+    p0 = -partial(system.lagrangian, 1, window)
     return np.atleast_1d(np.asarray(q0, dtype=float)), p0
 
 
@@ -263,18 +219,18 @@ def legendre_plus(system: ConstrainedSystem, q0, q1):
     if system.k != 1:
         raise DimensionError("discrete Legendre transforms require k = 1")
     window = np.vstack([np.atleast_1d(q0), np.atleast_1d(q1)])
-    p1 = partial(system.lagrangian, 2, window, _DERIV)
+    p1 = partial(system.lagrangian, 2, window)
     return np.atleast_1d(np.asarray(q1, dtype=float)), p1
 
 
 def momentum(
     system: ConstrainedSystem,
     action: GroupAction,
-    point: ExtendedPoint,
+    point: StepState,
     side: str = "plus",
 ) -> np.ndarray:
     """Pairing of the boundary one-form with the lifted generators."""
-    _check_point(system, point)
+    point.checked(system)
     if side not in ("plus", "minus"):
         raise DimensionError(f"side must be 'plus' or 'minus', got {side!r}")
     k, n = system.k, system.n
@@ -298,10 +254,7 @@ def check_momentum_conservation(
     trajectory: Sequence[StepState],
 ) -> float:
     """Max consecutive change of the plus momentum map along a trajectory."""
-    values = [
-        momentum(system, action, ExtendedPoint.from_state(st), side="plus")
-        for st in trajectory
-    ]
+    values = [momentum(system, action, st, side="plus") for st in trajectory]
     drift = 0.0
     for prev, cur in zip(values, values[1:]):
         drift = max(drift, float(np.max(np.abs(cur - prev))))

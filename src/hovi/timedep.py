@@ -13,8 +13,15 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import ConstrainedSystem, DiscretePath, WindowFunction
-from .delsolve import DEFAULT_MAX_ITER, DEFAULT_TOL, BoundaryData, solve_bvp, solve_masked
+from .core import ConstrainedSystem, WindowFunction
+from .delsolve import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
+    BoundaryData,
+    initial_guess,
+    solve_bvp,
+    solve_masked,
+)
 from .errors import DimensionError, NumericError
 
 
@@ -216,30 +223,12 @@ def solve_free_times(
     interior times, then the full problem from that warm start.
     """
     extended = extend(system)
-    k, n = system.k, system.n
-    boundary = BoundaryData(head.extended_nodes(), tail.extended_nodes(), N)
-
-    nodes0 = np.zeros((N + 1, n + 1))
-    nodes0[:k] = boundary.head
-    nodes0[N - k + 1 :] = boundary.tail
-    a = boundary.head[-1]
-    b = boundary.tail[0]
-    span = (N - k + 1) - (k - 1)
-    for p in range(k, N - k + 1):
-        t = (p - (k - 1)) / span
-        nodes0[p] = (1.0 - t) * a + t * b
-    q_mask = np.zeros((N + 1, n + 1), dtype=bool)
-    q_mask[k : N - k + 1, 1:] = True
-    warm, _, _ = solve_masked(
-        extended,
-        nodes0,
-        np.zeros((N - k + 1, 0)),
-        q_mask,
-        q_mask.copy(),
-        max(tol, 1e-9),
-        max_iter,
+    boundary = BoundaryData(head.extended_nodes(), tail.extended_nodes(), N).checked(
+        system.k, system.n + 1
     )
-
+    nodes0, q_mask = initial_guess(boundary)
+    q_mask[:, 0] = False
+    warm, _, _ = solve_masked(extended, nodes0, q_mask, max(tol, 1e-9), max_iter)
     path, _, report = solve_bvp(
         extended, boundary, guess_path=warm, tol=tol, max_iter=max_iter
     )
@@ -255,7 +244,6 @@ def solve_fixed_step(
     N: int,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    guess: Optional[np.ndarray] = None,
 ):
     """Fixed-step solve exploiting the decoupling of the time equations.
 
@@ -265,36 +253,10 @@ def solve_fixed_step(
     """
     if h <= 0:
         raise DimensionError(f"step size must be positive, got {h}")
-    k, n = system.k, system.n
-    head = np.atleast_2d(np.asarray(head, dtype=float))
-    tail = np.atleast_2d(np.asarray(tail, dtype=float))
-    if head.shape != (k, n) or tail.shape != (k, n):
-        raise DimensionError(f"boundary blocks must have shape {(k, n)}")
-    if N <= 2 * k:
-        raise DimensionError(f"need N > 2k, got N={N}")
-    extended = extend(system)
+    boundary = BoundaryData(head, tail, N).checked(system.k, system.n)
     times = t0 + h * np.arange(N + 1)
-    nodes0 = np.zeros((N + 1, n + 1))
-    nodes0[:, 0] = times
-    nodes0[:k, 1:] = head
-    nodes0[N - k + 1 :, 1:] = tail
-    if guess is not None:
-        guess = np.asarray(guess, dtype=float).reshape(N + 1, n)
-        nodes0[k : N - k + 1, 1:] = guess[k : N - k + 1]
-    else:
-        span = (N - k + 1) - (k - 1)
-        for p in range(k, N - k + 1):
-            t = (p - (k - 1)) / span
-            nodes0[p, 1:] = (1.0 - t) * head[-1] + t * tail[0]
-    q_mask = np.zeros((N + 1, n + 1), dtype=bool)
-    q_mask[k : N - k + 1, 1:] = True
-    path, _, report = solve_masked(
-        extended,
-        nodes0,
-        np.zeros((N - k + 1, 0)),
-        q_mask,
-        q_mask.copy(),
-        tol,
-        max_iter,
-    )
+    nodes0, q_mask = initial_guess(boundary)
+    nodes0 = np.column_stack([times, nodes0])
+    q_mask = np.column_stack([np.zeros(N + 1, dtype=bool), q_mask])
+    path, _, report = solve_masked(extend(system), nodes0, q_mask, tol, max_iter)
     return TimedPath(times, path.nodes[:, 1:]), report

@@ -29,7 +29,6 @@ from hovi.delsolve import (
 from hovi.derivatives import partial
 from hovi.errors import RegularityError
 from hovi.geometry import (
-    ExtendedPoint,
     GroupAction,
     check_momentum_conservation,
     check_symplecticity,
@@ -38,6 +37,7 @@ from hovi.geometry import (
     translation_action,
 )
 from hovi.applications import (
+    great_circle_state,
     recover_controls,
     solve_ocp,
     sphere_multiplier,
@@ -55,7 +55,6 @@ from hovi.timedep import (
 from util_systems import (
     desk_ocp,
     free_particle,
-    great_circle_state,
     oscillator_lagrangian,
     second_difference_system,
 )
@@ -168,7 +167,7 @@ def test_criterion_4_symplecticity():
     A = np.array([[0.0, 1.0], [-1.0, 2.0]])
     Om = np.array([[0.0, 1.0 / h], [-1.0 / h, 0.0]])
     np.testing.assert_array_equal(A.T @ Om @ A, Om)
-    point = ExtendedPoint(np.array([[0.0], [1.0]]), np.zeros((1, 0)))
+    point = StepState(np.array([[0.0], [1.0]]), np.zeros((1, 0)))
     np.testing.assert_allclose(omega_matrix(fp, point), Om, atol=1e-6)
     fp_report = check_symplecticity(
         fp, StepState(np.array([[0.0], [1.0]]), np.zeros((1, 0)))
@@ -186,7 +185,7 @@ def test_criterion_4_symplecticity():
 
     # constrained sphere, restricted defect probed along 20 steps
     sphere = sphere_spline_system(1.0, 0.1)
-    state = great_circle_state(sphere, 1.0, 0.1)
+    state = great_circle_state(1.0, 0.1)
     states = [state]
     for _ in range(20):
         state, rep = step(sphere, state)
@@ -206,7 +205,7 @@ def test_criterion_4_symplecticity():
 
 def test_criterion_5_momentum_conservation():
     sphere = sphere_spline_system(1.0, 0.1)
-    state = great_circle_state(sphere, 1.0, 0.1)
+    state = great_circle_state(1.0, 0.1)
     traj = [state]
     for _ in range(50):
         nxt, rep = step(sphere, traj[-1])

@@ -34,7 +34,7 @@ def sphere_config(tmp_path, **overrides):
     return write_config(tmp_path / "sphere.json", cfg)
 
 
-def beam_config(tmp_path):
+def beam_config(tmp_path, **overrides):
     a, b = 0.01, 0.005
     q = lambda t: a * t * t + b * t
     cfg = {
@@ -49,6 +49,7 @@ def beam_config(tmp_path):
         "solver": {"tol": 1e-9},
         "diagnostics": {"energy": True},
     }
+    cfg.update(overrides)
     return write_config(tmp_path / "beam.json", cfg)
 
 
@@ -214,3 +215,105 @@ def test_polynomial_system_seed_reproducible():
     w = np.arange(6.0).reshape(3, 2)[:2]
     assert a.lagrangian.value(w) == b.lagrangian.value(w)
     assert a.constraints[0].value(w) == b.constraints[0].value(w)
+
+
+def ocp_config(tmp_path, **overrides):
+    cfg = {
+        "system": "ocp",
+        "params": {"n": 2, "r": 1, "stiffness": [[1.0, 0.8], [0.8, 2.0]], "N": 12},
+        "boundary": {
+            "head": [[0.0, 0.0], [0.01, 0.005]],
+            "tail": [[0.05, 0.03], [0.055, 0.032]],
+        },
+    }
+    cfg.update(overrides)
+    return write_config(tmp_path / "ocp.json", cfg)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"params": {"r": "abc", "h": 0.1, "N": 8}},
+        {"pins": {"x": circle(4)}},
+        {"solver": {"tol": "x"}},
+        {"boundary": {"head": [circle(0), circle(1)[:2]], "tail": [circle(7), circle(8)]}},
+    ],
+    ids=["bad-number", "bad-pin-index", "bad-solver-tol", "ragged-head"],
+)
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_bad_config_values_exit_1(tmp_path, capsys, overrides, command):
+    path = sphere_config(tmp_path, **overrides)
+    args = [command, path] + (["--out", str(tmp_path / "out")] if command == "run" else [])
+    assert cli.main(args) == 1
+    assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "make_config",
+    [
+        lambda tmp: sphere_config(
+            tmp,
+            boundary={"head": [circle(0), circle(1)], "tail": [circle(7), circle(8)], "mid": []},
+        ),
+        lambda tmp: ocp_config(
+            tmp,
+            boundary={"head": [[0, 0], [0, 0]], "tail": [[1, 1], [1, 1]], "head_times": [0, 1]},
+        ),
+        lambda tmp: write_config(
+            tmp / "custom.json",
+            {
+                "system": "custom-polynomial",
+                "params": {"k": 1, "n": 1, "N": 4},
+                "boundary": {"head": [[0.0]], "tail": [[1.0]], "extra": 1},
+            },
+        ),
+        lambda tmp: beam_config(tmp, pins={"5": [0.0]}),
+        lambda tmp: ocp_config(tmp, pins={"3": [0.0, 0.0]}),
+        lambda tmp: write_config(
+            tmp / "custom.json",
+            {
+                "system": "custom-polynomial",
+                "params": {"k": 1, "n": 1, "N": 4},
+                "boundary": {"head": [[0.0]], "tail": [[1.0]]},
+                "pins": {},
+            },
+        ),
+    ],
+    ids=[
+        "sphere-boundary",
+        "ocp-boundary",
+        "custom-boundary",
+        "beam-pins",
+        "ocp-pins",
+        "custom-pins",
+    ],
+)
+def test_load_config_rejects_misplaced_keys(tmp_path, make_config):
+    with pytest.raises(ConfigError):
+        load_config(make_config(tmp_path))
+
+
+def test_run_singular_jacobian_exits_3(tmp_path, capsys):
+    path = write_config(
+        tmp_path / "singular.json",
+        {
+            "system": "custom-polynomial",
+            "params": {"k": 1, "n": 2, "m": 2, "N": 4, "seed": 0},
+            "boundary": {"head": [[0, 0]], "tail": [[1, 1]]},
+        },
+    )
+    out = tmp_path / "out"
+    assert cli.main(["run", path, "--out", str(out)]) == 3
+    assert "regularity failure:" in capsys.readouterr().err
+    assert not (out / "trajectory.csv").exists()
+
+
+def test_run_ocp_writes_controls(tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(["run", ocp_config(tmp_path), "--out", str(out)]) == 0
+    times, nodes, lambdas = read_trajectory_csv(out / "trajectory.csv")
+    assert nodes.shape == (13, 2)
+    assert lambdas.shape == (13, 1)
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert diag["converged"] is True
+    assert len(diag["controls"]) == 11

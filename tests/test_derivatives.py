@@ -3,7 +3,6 @@ import pytest
 
 from hovi.core import WindowFunction
 from hovi.derivatives import (
-    DerivativeConfig,
     check_gradient,
     cross_partial,
     partial,
@@ -116,10 +115,3 @@ def test_check_gradient_constant_zero():
 def test_check_gradient_requires_partials():
     with pytest.raises(DimensionError):
         check_gradient(product_function(), np.zeros((2, 1)))
-
-
-def test_derivative_config_validation():
-    with pytest.raises(DimensionError):
-        DerivativeConfig(fd_step=0.0)
-    with pytest.raises(DimensionError):
-        DerivativeConfig(check_tol=-1.0)

@@ -5,7 +5,6 @@ from hovi.core import ConstrainedSystem, WindowFunction
 from hovi.delsolve import StepState, step
 from hovi.errors import DimensionError
 from hovi.geometry import (
-    ExtendedPoint,
     GroupAction,
     check_momentum_conservation,
     check_symplecticity,
@@ -18,9 +17,9 @@ from hovi.geometry import (
     theta_plus,
     translation_action,
 )
-from hovi.applications import sphere_spline_system
+from hovi.applications import great_circle_state, sphere_spline_system
 
-from util_systems import free_particle, great_circle_state, second_difference_system
+from util_systems import free_particle, second_difference_system
 
 
 def zero_system(k=2, n=1):
@@ -29,14 +28,14 @@ def zero_system(k=2, n=1):
 
 def test_theta_free_particle_hand_values():
     system = free_particle(h=1.0)
-    point = ExtendedPoint(np.array([[0.0], [1.0]]), np.zeros((1, 0)))
+    point = StepState(np.array([[0.0], [1.0]]), np.zeros((1, 0)))
     np.testing.assert_allclose(theta_minus(system, point), [1.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(theta_plus(system, point), [0.0, 1.0], atol=1e-12)
 
 
 def test_theta_zero_lagrangian():
     system = zero_system()
-    point = ExtendedPoint(np.arange(4.0)[:, None], np.zeros((2, 0)))
+    point = StepState(np.arange(4.0)[:, None], np.zeros((2, 0)))
     np.testing.assert_allclose(theta_minus(system, point), 0.0)
     np.testing.assert_allclose(theta_plus(system, point), 0.0)
 
@@ -44,7 +43,7 @@ def test_theta_zero_lagrangian():
 def test_theta_constant_sphere_window_vanishes():
     system = sphere_spline_system(1.0, 0.2)
     p = np.array([1.0, 0.0, 0.0])
-    point = ExtendedPoint(np.tile(p, (4, 1)), np.zeros((2, 1)))
+    point = StepState(np.tile(p, (4, 1)), np.zeros((2, 1)))
     np.testing.assert_allclose(theta_minus(system, point), 0.0, atol=1e-12)
     np.testing.assert_allclose(theta_plus(system, point), 0.0, atol=1e-12)
 
@@ -56,7 +55,7 @@ def test_theta_difference_is_window_sum_differential():
     rng = np.random.default_rng(13)
     configs = rng.normal(size=(4, 3))
     lams = rng.normal(size=(2, 1))
-    point = ExtendedPoint(configs, lams)
+    point = StepState(configs, lams)
     diff = theta_plus(system, point) - theta_minus(system, point)
 
     def window_sum(flat):
@@ -82,19 +81,19 @@ def test_theta_difference_is_window_sum_differential():
 def test_omega_free_particle():
     h = 2.0
     system = free_particle(h=h)
-    point = ExtendedPoint(np.array([[0.3], [1.7]]), np.zeros((1, 0)))
+    point = StepState(np.array([[0.3], [1.7]]), np.zeros((1, 0)))
     expected = np.array([[0.0, 1.0 / h], [-1.0 / h, 0.0]])
     np.testing.assert_allclose(omega_matrix(system, point), expected, atol=1e-6)
 
 
 def test_omega_zero_lagrangian_and_antisymmetry():
     system = zero_system()
-    point = ExtendedPoint(np.arange(4.0)[:, None], np.zeros((2, 0)))
+    point = StepState(np.arange(4.0)[:, None], np.zeros((2, 0)))
     np.testing.assert_allclose(omega_matrix(system, point), 0.0, atol=1e-12)
 
     rng = np.random.default_rng(21)
     sd = second_difference_system(h=0.8)
-    point = ExtendedPoint(rng.normal(size=(4, 1)), np.zeros((2, 0)))
+    point = StepState(rng.normal(size=(4, 1)), np.zeros((2, 0)))
     om = omega_matrix(sd, point)
     np.testing.assert_array_equal(om + om.T, np.zeros_like(om))
 
@@ -102,7 +101,7 @@ def test_omega_zero_lagrangian_and_antisymmetry():
 def test_omega_from_minus_and_plus_agree():
     rng = np.random.default_rng(2)
     sd = second_difference_system(h=0.8)
-    point = ExtendedPoint(rng.normal(size=(4, 1)), np.zeros((2, 0)))
+    point = StepState(rng.normal(size=(4, 1)), np.zeros((2, 0)))
     om_minus = omega_matrix(sd, point, which="minus")
     om_plus = omega_matrix(sd, point, which="plus")
     np.testing.assert_allclose(om_minus, om_plus, atol=1e-5)
@@ -139,13 +138,13 @@ def test_legendre_momentum_matching_on_solution():
 def test_momentum_trivial_cases():
     system = sphere_spline_system(1.0, 0.2)
     p = np.array([0.0, 1.0, 0.0])
-    point = ExtendedPoint(np.tile(p, (4, 1)), np.zeros((2, 1)))
+    point = StepState(np.tile(p, (4, 1)), np.zeros((2, 1)))
     np.testing.assert_allclose(
         momentum(system, rotation_action(), point), 0.0, atol=1e-12
     )
 
     zs = zero_system(k=1, n=2)
-    zp = ExtendedPoint(np.ones((2, 2)), np.zeros((1, 0)))
+    zp = StepState(np.ones((2, 2)), np.zeros((1, 0)))
     np.testing.assert_allclose(
         momentum(zs, translation_action(2), zp), 0.0, atol=1e-12
     )
@@ -155,10 +154,9 @@ def test_momentum_trivial_cases():
 
 def test_momentum_plus_equals_minus_for_invariant_system():
     system = sphere_spline_system(1.0, 0.1)
-    state = great_circle_state(system, 1.0, 0.1)
-    point = ExtendedPoint.from_state(state)
-    jp = momentum(system, rotation_action(), point, side="plus")
-    jm = momentum(system, rotation_action(), point, side="minus")
+    state = great_circle_state(1.0, 0.1)
+    jp = momentum(system, rotation_action(), state, side="plus")
+    jm = momentum(system, rotation_action(), state, side="minus")
     np.testing.assert_allclose(jp, jm, atol=1e-8)
 
 
@@ -188,4 +186,4 @@ def test_group_action_shapes():
         act.generators[2](np.array([1.0, 0.0, 0.0])), [0.0, 1.0, 0.0]
     )
     with pytest.raises(DimensionError):
-        ExtendedPoint(np.zeros((3, 1)), np.zeros((1, 0)))
+        StepState(np.zeros((3, 1)), np.zeros((1, 0)))

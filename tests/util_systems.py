@@ -2,8 +2,6 @@
 import numpy as np
 
 from hovi.core import ConstrainedSystem, WindowFunction
-from hovi.delsolve import StepState
-from hovi.applications import sphere_multiplier
 from hovi.timedep import TimeDependentLagrangian
 
 
@@ -37,22 +35,6 @@ def second_difference_system(h: float = 1.0, n: int = 1) -> ConstrainedSystem:
         return -2.0 * (w[2] - 2.0 * w[1] + w[0]) / h ** 3
 
     return ConstrainedSystem(2, n, WindowFunction(2, n, lag, (d1, d2, d1)), ())
-
-
-def great_circle_state(system, r: float, h: float, theta: float = 0.05) -> StepState:
-    """Sphere-spline step state on a uniformly rotating great circle."""
-
-    def q(i):
-        return r * np.array([np.cos(i * theta), np.sin(i * theta), 0.0])
-
-    nodes = np.array([q(i) for i in range(4)])
-    lams = np.array(
-        [
-            [sphere_multiplier(np.array([q(j) for j in range(p - 2, p + 3)]), r, h)]
-            for p in (2, 3)
-        ]
-    )
-    return StepState(nodes, lams)
 
 
 def oscillator_lagrangian(omega: float = 1.3) -> TimeDependentLagrangian:
