@@ -52,6 +52,7 @@ from .applications import (
     InterpolationSpec,
     UnderactuatedSpec,
     beam_system,
+    coupled_quadratic_lagrangian,
     great_circle_state,
     recover_controls,
     solve_interpolation,

@@ -221,6 +221,41 @@ class UnderactuatedSpec:
             )
 
 
+def coupled_quadratic_lagrangian(n: int, stiffness) -> WindowFunction:
+    """k=1 controlled Lagrangian on R x Q with analytic partials.
+
+    L = |v|^2/2 - q_bar^T K q_bar / 2 on a two-node extended window (time
+    is coordinate 0), with K the symmetric part of the n x n stiffness.
+    """
+    K = np.asarray(stiffness, dtype=float)
+    K = 0.5 * (K + K.T)
+
+    def kinematics(w):
+        """Time step, velocity and midpoint of the window."""
+        dt = w[1, 0] - w[0, 0]
+        return dt, (w[1, 1:] - w[0, 1:]) / dt, 0.5 * (w[0, 1:] + w[1, 1:])
+
+    def lag(w):
+        _, v, qb = kinematics(w)
+        return 0.5 * float(v @ v) - 0.5 * float(qb @ K @ qb)
+
+    def d1(w):
+        dt, v, qb = kinematics(w)
+        g = np.empty(n + 1)
+        g[0] = float(v @ v) / dt
+        g[1:] = -v / dt - 0.5 * (K @ qb)
+        return g
+
+    def d2(w):
+        dt, v, qb = kinematics(w)
+        g = np.empty(n + 1)
+        g[0] = -float(v @ v) / dt
+        g[1:] = v / dt - 0.5 * (K @ qb)
+        return g
+
+    return WindowFunction(1, n + 1, lag, (d1, d2))
+
+
 def _forced_terms(spec: UnderactuatedSpec, window3: np.ndarray) -> np.ndarray:
     """Left-hand sides of the controlled equations on a 3-node window."""
     pair01 = window3[0:2]

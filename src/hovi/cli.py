@@ -24,6 +24,7 @@ from .applications import (
     InterpolationSpec,
     UnderactuatedSpec,
     beam_system,
+    coupled_quadratic_lagrangian,
     great_circle_state,
     recover_controls,
     solve_interpolation,
@@ -40,7 +41,7 @@ from .delsolve import (
     solve_bvp,
     step,
 )
-from .derivatives import check_gradient
+from .derivatives import FD_STEP, central_difference, check_gradient
 from .errors import DimensionError, NonConvergenceError, NumericError, RegularityError
 from .geometry import check_momentum_conservation, check_symplecticity, rotation_action
 from .timedep import TimedPath, discrete_energy, extend, solve_free_times
@@ -73,6 +74,19 @@ def _require_keys(d: dict, allowed: set, required: set, where: str) -> None:
         raise ConfigError(f"missing keys {sorted(missing)} in {where}")
 
 
+def _integer(value, name: str) -> int:
+    """A JSON integer, or a float without a fractional part."""
+    if type(value) is int or (type(value) is float and value.is_integer()):
+        return int(value)
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def _flag(value, name: str) -> bool:
+    if type(value) is not bool:
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -100,16 +114,15 @@ def load_config(path: str) -> dict:
     solver = cfg.get("solver", {})
     _require_keys(solver, {"tol", "max_iter"}, set(), "solver")
     tol = float(solver.get("tol", DEFAULT_TOL))
-    max_iter = int(solver.get("max_iter", DEFAULT_MAX_ITER))
+    max_iter = _integer(solver.get("max_iter", DEFAULT_MAX_ITER), "solver.max_iter")
     if tol <= 0 or max_iter < 1:
         raise ConfigError("solver tol must be positive and max_iter >= 1")
     cfg["solver"] = {"tol": tol, "max_iter": max_iter}
     diag = cfg.get("diagnostics", {})
     _require_keys(diag, {"symplectic", "momentum", "energy"}, set(), "diagnostics")
     cfg["diagnostics"] = {
-        "symplectic": bool(diag.get("symplectic", False)),
-        "momentum": bool(diag.get("momentum", False)),
-        "energy": bool(diag.get("energy", False)),
+        key: _flag(diag.get(key, False), f"diagnostics.{key}")
+        for key in ("symplectic", "momentum", "energy")
     }
     output = cfg.get("output", {})
     _require_keys(output, {"trajectory", "diagnostics"}, set(), "output")
@@ -198,7 +211,7 @@ def _build_mu_rho(params: dict):
 def _validate_sphere(cfg: dict):
     params = cfg["params"]
     _require_keys(params, {"r", "h", "N"}, {"r", "h", "N"}, "params")
-    r, h, N = float(params["r"]), float(params["h"]), int(params["N"])
+    r, h, N = float(params["r"]), float(params["h"]), _integer(params["N"], "N")
     if r <= 0 or h <= 0:
         raise ConfigError("sphere-spline needs positive r and h")
     if N <= 4:
@@ -216,7 +229,7 @@ def _validate_sphere(cfg: dict):
 def _validate_beam(cfg: dict):
     params = cfg["params"]
     _require_keys(params, {"mu", "rho", "N"}, {"N"}, "params")
-    N = int(params["N"])
+    N = _integer(params["N"], "N")
     if N <= 4:
         raise ConfigError("beam needs N > 4")
     mu, rho, dmu, drho = _build_mu_rho(params)
@@ -242,7 +255,7 @@ def _validate_ocp(cfg: dict):
         {"n", "r", "stiffness", "N"},
         "params",
     )
-    n, r, N = int(params["n"]), int(params["r"]), int(params["N"])
+    n, r, N = (_integer(params[key], key) for key in ("n", "r", "N"))
     if not 1 <= r < n:
         raise ConfigError("ocp needs 1 <= r < n")
     if N <= 4:
@@ -250,7 +263,6 @@ def _validate_ocp(cfg: dict):
     K = np.asarray(params["stiffness"], dtype=float)
     if K.shape != (n, n):
         raise ConfigError(f"stiffness must be {n}x{n}")
-    K = 0.5 * (K + K.T)
     weight = float(params.get("cost_weight", 1.0))
     if weight <= 0:
         raise ConfigError("cost_weight must be positive")
@@ -258,32 +270,7 @@ def _validate_ocp(cfg: dict):
     h = float(params.get("h", 0.25))
     if h <= 0:
         raise ConfigError("ocp needs positive h")
-
-    def lag(w, K=K):
-        dt = w[1, 0] - w[0, 0]
-        v = (w[1, 1:] - w[0, 1:]) / dt
-        qb = 0.5 * (w[0, 1:] + w[1, 1:])
-        return 0.5 * float(v @ v) - 0.5 * float(qb @ K @ qb)
-
-    def d1(w, K=K):
-        dt = w[1, 0] - w[0, 0]
-        v = (w[1, 1:] - w[0, 1:]) / dt
-        qb = 0.5 * (w[0, 1:] + w[1, 1:])
-        g = np.empty(n + 1)
-        g[0] = float(v @ v) / dt
-        g[1:] = -v / dt - 0.5 * (K @ qb)
-        return g
-
-    def d2(w, K=K):
-        dt = w[1, 0] - w[0, 0]
-        v = (w[1, 1:] - w[0, 1:]) / dt
-        qb = 0.5 * (w[0, 1:] + w[1, 1:])
-        g = np.empty(n + 1)
-        g[0] = -float(v @ v) / dt
-        g[1:] = v / dt - 0.5 * (K @ qb)
-        return g
-
-    lagrangian = WindowFunction(1, n + 1, lag, (d1, d2))
+    lagrangian = coupled_quadratic_lagrangian(n, K)
     spec = UnderactuatedSpec(
         n, r, lagrangian, lambda w2, u, weight=weight: 0.5 * weight * float(u @ u)
     )
@@ -301,8 +288,8 @@ def _validate_custom(cfg: dict):
         {"k", "n", "N"},
         "params",
     )
-    k, n, N = int(params["k"]), int(params["n"]), int(params["N"])
-    m = int(params.get("m", 0))
+    k, n, N = (_integer(params[key], key) for key in ("k", "n", "N"))
+    m = _integer(params.get("m", 0), "m")
     if k < 1 or n < 1 or m < 0:
         raise ConfigError("custom-polynomial needs k >= 1, n >= 1, m >= 0")
     if N <= 2 * k:
@@ -311,9 +298,9 @@ def _validate_custom(cfg: dict):
         k,
         n,
         m,
-        int(params.get("seed", 0)),
-        degree=int(params.get("degree", 2)),
-        break_partials=bool(params.get("break_partials", False)),
+        _integer(params.get("seed", 0), "seed"),
+        degree=_integer(params.get("degree", 2), "degree"),
+        break_partials=_flag(params.get("break_partials", False), "break_partials"),
     )
     return system, N
 
@@ -494,18 +481,13 @@ def _variational_consistency(system: ConstrainedSystem, N: int, rng) -> float:
     worst = 0.0
     for p in range(k, N - k + 1):
         res = del_residual(system, path, mult, p)
-        fd = np.empty(n)
-        for a in range(n):
-            hstep = 1e-6 * max(1.0, abs(nodes[p, a]))
-            for sign in (1.0, -1.0):
-                pert = nodes.copy()
-                pert[p, a] += sign * hstep
-                val = discrete_action(system, DiscretePath(pert), mult)
-                if sign > 0:
-                    plus = val
-                else:
-                    minus = val
-            fd[a] = (plus - minus) / (2.0 * hstep)
+
+        def action(q):
+            pert = nodes.copy()
+            pert[p] = q
+            return discrete_action(system, DiscretePath(pert), mult)
+
+        fd = central_difference(action, nodes[p], FD_STEP)[0]
         worst = max(worst, float(np.max(np.abs(res - fd) / (1.0 + np.abs(fd)))))
     return worst
 
@@ -537,10 +519,23 @@ def check_command(cfg: dict) -> int:
         )
 
     name = cfg["system"]
+    if name == "ocp":
+        spec = _validated(_validate_ocp, cfg)[0]
+        system = ConstrainedSystem(1, spec.n + 1, spec.lagrangian, ())
+    elif name == "beam":
+        system = extend(_validated(_validate_beam, cfg)[0])
+    elif name == "sphere-spline":
+        system, r, h = _validated(_validate_sphere, cfg)[:3]
+    else:
+        system = _validated(_validate_custom, cfg)[0]
+    add("gradient_check", _gradient_checks(system, rng), 1e-5)
+    if name != "ocp":
+        add(
+            "variational_consistency",
+            _variational_consistency(system, 2 * system.k + 2, rng),
+            1e-6,
+        )
     if name == "sphere-spline":
-        system, r, h, N, head, tail, pins = _validated(_validate_sphere, cfg)
-        add("gradient_check", _gradient_checks(system, rng), 1e-5)
-        add("variational_consistency", _variational_consistency(system, 2 * system.k + 2, rng), 1e-6)
         state = great_circle_state(r, h)
         srep = check_symplecticity(system, state)
         add("symplectic_restricted_defect", srep.defect_norm, 1e-4)
@@ -552,28 +547,6 @@ def check_command(cfg: dict) -> int:
             "momentum_drift",
             check_momentum_conservation(system, rotation_action(), traj),
             1e-8,
-        )
-    elif name == "beam":
-        system, N, head, tail = _validated(_validate_beam, cfg)
-
-        extended = extend(system)
-        add("gradient_check", _gradient_checks(extended, rng), 1e-5)
-        add(
-            "variational_consistency",
-            _variational_consistency(extended, 2 * extended.k + 2, rng),
-            1e-6,
-        )
-    elif name == "ocp":
-        spec, times, head, tail = _validated(_validate_ocp, cfg)
-        add("gradient_check", _gradient_checks(
-            ConstrainedSystem(1, spec.n + 1, spec.lagrangian, ()), rng), 1e-5)
-    else:
-        system, N = _validated(_validate_custom, cfg)
-        add("gradient_check", _gradient_checks(system, rng), 1e-5)
-        add(
-            "variational_consistency",
-            _variational_consistency(system, 2 * system.k + 2, rng),
-            1e-6,
         )
 
     passed = all(c["pass"] for c in checks)

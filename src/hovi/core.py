@@ -17,18 +17,6 @@ from .errors import DimensionError
 Array = np.ndarray
 
 
-def as_point(x, n: Optional[int] = None) -> Array:
-    """Coerce to a finite 1-D float array, optionally of length n."""
-    p = np.atleast_1d(np.asarray(x, dtype=float))
-    if p.ndim != 1:
-        raise DimensionError(f"configuration point must be 1-D, got shape {p.shape}")
-    if n is not None and p.shape[0] != n:
-        raise DimensionError(f"configuration point has length {p.shape[0]}, expected {n}")
-    if not np.all(np.isfinite(p)):
-        raise DimensionError("configuration point has non-finite entries")
-    return p
-
-
 def as_window(window, k: int, n: int) -> Array:
     """Coerce to a (k+1, n) float array."""
     w = np.asarray(window, dtype=float)

@@ -18,7 +18,7 @@ from .core import (
     MultiplierSequence,
     as_window,
 )
-from .derivatives import cross_partial, partial
+from .derivatives import central_difference, cross_partial, partial
 from .errors import DimensionError, NonConvergenceError, NumericError, RegularityError
 
 DEFAULT_TOL = 1e-10
@@ -204,7 +204,7 @@ def newton_solve(residual, x0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
         if fnorm <= tol:
             report.converged = True
             return x, report
-        jac = _fd_jacobian(residual, x, f)
+        jac = _fd_jacobian(residual, x)
         if not np.all(np.isfinite(jac)):
             raise NumericError("non-finite entries in Newton Jacobian")
         cond = float(np.linalg.cond(jac))
@@ -272,19 +272,8 @@ def newton_solve(residual, x0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     )
 
 
-def _fd_jacobian(residual, x, f0):
-    dim = x.size
-    jac = np.empty((f0.size, dim))
-    for a in range(dim):
-        h = _JAC_STEP * max(1.0, abs(x[a]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[a] += h
-        xm[a] -= h
-        jac[:, a] = (
-            np.asarray(residual(xp), dtype=float) - np.asarray(residual(xm), dtype=float)
-        ) / (2.0 * h)
-    return jac
+def _fd_jacobian(residual, x):
+    return central_difference(residual, x, _JAC_STEP)
 
 
 def initial_guess(boundary: BoundaryData, pins=None):
@@ -359,51 +348,41 @@ def solve_masked(
     # multiplier consequently enters no retained equation) would make the
     # stacked Jacobian structurally singular.  Freeze such pairs out of
     # the Newton system and verify their residuals afterwards.
-    keep_eq = np.ones(nq + nwin * m, dtype=bool)
-    keep_un = np.ones(nq + nwin * m, dtype=bool)
+    keep = np.ones(x0.size, dtype=bool)
     if m > 0 and x0.size:
-        f0 = np.asarray(residual(x0), dtype=float)
-        jac0 = _fd_jacobian(residual, x0, f0)
-        for idx in range(nq, nq + nwin * m):
-            if not jac0[idx].any() and not jac0[:, idx].any():
-                keep_eq[idx] = False
-                keep_un[idx] = False
-    dropped = ~keep_eq
-
-    if dropped.any():
-        def reduced(x_red):
-            x_full = x0.copy()
-            x_full[keep_un] = x_red
-            return np.asarray(residual(x_full), dtype=float)[keep_eq]
-    else:
-        reduced = residual
+        jac0 = _fd_jacobian(residual, x0)
+        keep[nq:] = jac0[nq:].any(axis=1) | jac0[:, nq:].any(axis=0)
 
     def embed(x_red):
         x_full = x0.copy()
-        x_full[keep_un] = x_red
+        x_full[keep] = x_red
+        return x_full
+
+    def reduced(x_red):
+        return np.asarray(residual(embed(x_red)), dtype=float)[keep]
+
+    def solution(x_full):
         nodes = nodes0.copy()
         nodes[q_mask] = x_full[:nq]
-        lams = x_full[nq:].reshape(nwin, m)
-        return nodes, lams
+        return DiscretePath(nodes), MultiplierSequence(x_full[nq:].reshape(nwin, m))
 
     try:
-        x_red, report = newton_solve(reduced, x0[keep_un], tol=tol, max_iter=max_iter)
+        x_red, report = newton_solve(reduced, x0[keep], tol=tol, max_iter=max_iter)
     except NonConvergenceError as err:
-        nodes, lams = embed(err.last_iterate)
-        err.last_iterate = (DiscretePath(nodes), MultiplierSequence(lams))
+        err.last_iterate = solution(embed(err.last_iterate))
         raise
-    nodes, lams = embed(x_red)
-    if dropped.any():
-        full = np.asarray(residual(np.concatenate([nodes[q_mask], lams.ravel()])), dtype=float)
-        infeasible = float(np.max(np.abs(full[dropped])))
+    x = embed(x_red)
+    path, mult = solution(x)
+    if not keep.all():
+        infeasible = float(np.max(np.abs(np.asarray(residual(x), dtype=float)[~keep])))
         if infeasible > max(tol, 1e-9):
             raise NonConvergenceError(
                 f"boundary data violates a fixed constraint window "
                 f"(residual {infeasible:.3e})",
-                last_iterate=(DiscretePath(nodes), MultiplierSequence(lams)),
+                last_iterate=(path, mult),
                 report=report,
             )
-    return DiscretePath(nodes), MultiplierSequence(lams), report
+    return path, mult, report
 
 
 def solve_bvp(

@@ -1,9 +1,9 @@
 """Partial derivatives of window functions.
 
 Analytic partials win whenever a WindowFunction carries them; otherwise
-second-order central differences with a per-coordinate relative step.
-Second derivatives use a four-point cross stencil with a sqrt-scaled
-step.
+central_difference, the package's one first-order difference routine.
+Numeric second derivatives use a four-point cross stencil with a
+sqrt-scaled step.
 """
 from __future__ import annotations
 
@@ -20,22 +20,40 @@ def _check_factor(f: WindowFunction, j: int) -> None:
         raise DimensionError(f"factor index {j} out of range 1..{f.k + 1}")
 
 
-def _steps(coords: np.ndarray, scale: float) -> np.ndarray:
-    return scale * np.maximum(1.0, np.abs(coords))
+def central_difference(fn, x, step: float) -> np.ndarray:
+    """Central-difference Jacobian of fn at the non-empty 1-D point x.
+
+    fn returns a float or a 1-D array.  Column a is
+    (fn(x + h_a e_a) - fn(x - h_a e_a)) / (2 h_a) with the relative step
+    h_a = step * max(1, |x_a|); a scalar fn gives one row.
+    """
+    x = np.asarray(x, dtype=float)
+    jac = None
+    for a in range(x.size):
+        h = step * max(1.0, abs(x[a]))
+        xp = x.copy()
+        xm = x.copy()
+        xp[a] += h
+        xm[a] -= h
+        col = (fn(xp) - fn(xm)) / (2.0 * h)
+        if jac is None:
+            jac = np.empty((np.size(col), x.size))
+        jac[:, a] = col
+    return jac
+
+
+def _with_factor(w: np.ndarray, j: int, row: np.ndarray) -> np.ndarray:
+    """Copy of window w with factor j replaced by row."""
+    out = w.copy()
+    out[j - 1] = row
+    return out
 
 
 def partial_fd(f: WindowFunction, j: int, window) -> np.ndarray:
     """Central-difference D_j f, ignoring any analytic partials."""
     _check_factor(f, j)
     w = as_window(window, f.k, f.n)
-    grad = np.empty(f.n)
-    hs = _steps(w[j - 1], FD_STEP)
-    for a in range(f.n):
-        wp = w.copy()
-        wm = w.copy()
-        wp[j - 1, a] += hs[a]
-        wm[j - 1, a] -= hs[a]
-        grad[a] = (f.eval(wp) - f.eval(wm)) / (2.0 * hs[a])
+    grad = central_difference(lambda row: f.eval(_with_factor(w, j, row)), w[j - 1], FD_STEP)[0]
     if not np.all(np.isfinite(grad)):
         raise NumericError(f"non-finite finite-difference partial D_{j}")
     return grad
@@ -64,19 +82,15 @@ def cross_partial(f: WindowFunction, j1: int, j2: int, window) -> np.ndarray:
     _check_factor(f, j1)
     _check_factor(f, j2)
     w = as_window(window, f.k, f.n)
-    mat = np.empty((f.n, f.n))
     if f.partials is not None:
-        hs = _steps(w[j1 - 1], FD_STEP)
-        for a in range(f.n):
-            wp = w.copy()
-            wm = w.copy()
-            wp[j1 - 1, a] += hs[a]
-            wm[j1 - 1, a] -= hs[a]
-            mat[a] = (partial(f, j2, wp) - partial(f, j2, wm)) / (2.0 * hs[a])
+        mat = central_difference(
+            lambda row: partial(f, j2, _with_factor(w, j1, row)), w[j1 - 1], FD_STEP
+        ).T
     else:
+        mat = np.empty((f.n, f.n))
         scale = FD_STEP ** 0.5
-        h1 = _steps(w[j1 - 1], scale)
-        h2 = _steps(w[j2 - 1], scale)
+        h1 = scale * np.maximum(1.0, np.abs(w[j1 - 1]))
+        h2 = scale * np.maximum(1.0, np.abs(w[j2 - 1]))
         for a in range(f.n):
             for b in range(f.n):
                 wpp = w.copy()

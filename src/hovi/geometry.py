@@ -15,8 +15,12 @@ import numpy as np
 
 from .core import ConstrainedSystem
 from .delsolve import StepState, step
-from .derivatives import partial
+from .derivatives import FD_STEP, central_difference, partial
 from .errors import DimensionError, NumericError
+
+# Relative step of the step-map Jacobian.  Each map value is a Newton
+# solve, accurate only to its tolerance, so the step is larger than FD_STEP.
+_STEP_MAP_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -107,33 +111,21 @@ def _theta_of_coords(system, z, which):
 
 
 def omega_matrix(
-    system: ConstrainedSystem,
-    point: StepState,
-    which: str = "minus",
-    fd_step: float = 1e-6,
+    system: ConstrainedSystem, point: StepState, which: str = "minus"
 ) -> np.ndarray:
-    """Two-form matrix Omega = -d(theta) by central differencing.
+    """Two-form matrix Omega = -d(theta) by central differencing (step FD_STEP).
 
     Entry [a, b] is the coefficient of dz_a wedge dz_b over the
     2k*n + k*m coordinates (configs first, multipliers after);
     antisymmetric by construction.
     """
     point.checked(system)
-    z0 = point.flatten()
-    dim = z0.size
-    dtheta = np.empty((dim, dim))
-    for a in range(dim):
-        h = fd_step * max(1.0, abs(z0[a]))
-        zp = z0.copy()
-        zm = z0.copy()
-        zp[a] += h
-        zm[a] -= h
-        dtheta[a] = (
-            _theta_of_coords(system, zp, which) - _theta_of_coords(system, zm, which)
-        ) / (2.0 * h)
-    if not np.all(np.isfinite(dtheta)):
+    jac = central_difference(
+        lambda z: _theta_of_coords(system, z, which), point.flatten(), FD_STEP
+    )
+    if not np.all(np.isfinite(jac)):
         raise NumericError("non-finite differencing in omega_matrix")
-    return dtheta.T - dtheta
+    return jac - jac.T
 
 
 @dataclass(frozen=True)
@@ -158,36 +150,23 @@ def _constraint_jacobian(system, point):
 
 
 def check_symplecticity(
-    system: ConstrainedSystem,
-    state: StepState,
-    tol: float = 1e-12,
-    fd_step: float = 1e-5,
+    system: ConstrainedSystem, state: StepState, tol: float = 1e-12
 ) -> SymplecticityReport:
     """Defect of the pullback of the two-form under the one-step map.
 
     Unconstrained: || A^T Omega(next) A - Omega(state) ||_F with A the
-    finite-difference Jacobian of the step map.  Constrained: the same
-    defect restricted to a numerical kernel basis of the constraint
-    Jacobian (tangent space of the constraint set).
+    central-difference Jacobian of the step map (step _STEP_MAP_STEP).
+    Constrained: the same defect restricted to a numerical kernel basis
+    of the constraint Jacobian (tangent space of the constraint set).
     """
     k, n, m = system.k, system.n, system.m
-    z0 = state.flatten()
-    dim = z0.size
 
     def step_map(z):
         st = StepState(z[: 2 * k * n].reshape(2 * k, n), z[2 * k * n :].reshape(k, m))
         nxt, _ = step(system, st, tol=tol)
         return nxt.flatten()
 
-    jac = np.empty((dim, dim))
-    for a in range(dim):
-        h = fd_step * max(1.0, abs(z0[a]))
-        zp = z0.copy()
-        zm = z0.copy()
-        zp[a] += h
-        zm[a] -= h
-        jac[:, a] = (step_map(zp) - step_map(zm)) / (2.0 * h)
-
+    jac = central_difference(step_map, state.flatten(), _STEP_MAP_STEP)
     next_state, _ = step(system, state, tol=tol)
     omega_here = omega_matrix(system, state)
     omega_next = omega_matrix(system, next_state)

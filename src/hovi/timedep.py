@@ -24,6 +24,8 @@ from .delsolve import (
 )
 from .errors import DimensionError, NumericError
 
+_ENERGY_STEP = 1e-3
+
 
 @dataclass(frozen=True)
 class TimedPath:
@@ -115,19 +117,13 @@ def extend(
     return ConstrainedSystem(k, n + 1, lagrangian, tuple(constraints))
 
 
-def discrete_energy(
-    system: TimeDependentLagrangian,
-    times,
-    nodes,
-    i: int,
-    fd_step: float = 1e-3,
-) -> float:
+def discrete_energy(system: TimeDependentLagrangian, times, nodes, i: int) -> float:
     """Discrete energy conjugate to the step h_i = t_{i+1} - t_i.
 
     Minus the derivative of the weighted window sums with respect to
     h_i, accumulated over the k action windows containing that step.
-    A sixth-order stencil with a step relative to the local time step
-    keeps the energy accurate well below the solver tolerances.
+    A sixth-order stencil with the step _ENERGY_STEP * h_i keeps the
+    energy accurate well below the solver tolerances.
     """
     k = system.k
     times = np.asarray(times, dtype=float)
@@ -145,7 +141,7 @@ def discrete_energy(
         qs = nodes[s : s + k + 1]
         value = system.eval(ts, qs)
         span = ts[-1] - ts[0]
-        eps = fd_step * (times[i + 1] - times[i])
+        eps = _ENERGY_STEP * (times[i + 1] - times[i])
 
         def shifted(delta, ts=ts, qs=qs, s=s):
             tt = ts.copy()

@@ -9,6 +9,7 @@ from hovi.applications import (
     InterpolationSpec,
     UnderactuatedSpec,
     beam_system,
+    coupled_quadratic_lagrangian,
     recover_controls,
     solve_interpolation,
     solve_ocp,
@@ -202,8 +203,6 @@ def test_recover_controls_shapes_and_linear_path():
     with pytest.raises(DimensionError):
         recover_controls(spec, [0.0, 1.0], np.zeros((2, 2)))
     # straight free motion with the potential switched off gives u = 0
-    from util_systems import coupled_quadratic_lagrangian
-
     free = UnderactuatedSpec(
         2, 1, coupled_quadratic_lagrangian(2, np.zeros((2, 2))), lambda w2, u: 0.0
     )

@@ -237,8 +237,37 @@ def ocp_config(tmp_path, **overrides):
         {"pins": {"x": circle(4)}},
         {"solver": {"tol": "x"}},
         {"boundary": {"head": [circle(0), circle(1)[:2]], "tail": [circle(7), circle(8)]}},
+        {"params": {"r": 1.0, "h": 0.1, "N": 8.5}},
+        {"solver": {"max_iter": 10.5}},
+        {"diagnostics": {"symplectic": "false"}},
+        {
+            "system": "custom-polynomial",
+            "params": {"k": 1, "n": 1, "N": 4, "seed": 3.7},
+            "boundary": {"head": [[0.0]], "tail": [[1.0]]},
+        },
+        {
+            "system": "custom-polynomial",
+            "params": {"k": 1, "n": 1, "N": 4, "break_partials": "no"},
+            "boundary": {"head": [[0.0]], "tail": [[1.0]]},
+        },
+        {
+            "system": "ocp",
+            "params": {"n": 2, "r": 1.5, "stiffness": [[1.0, 0.8], [0.8, 2.0]], "N": 12},
+            "boundary": {"head": [[0.0, 0.0], [0.01, 0.005]], "tail": [[0.05, 0.03], [0.055, 0.032]]},
+        },
     ],
-    ids=["bad-number", "bad-pin-index", "bad-solver-tol", "ragged-head"],
+    ids=[
+        "bad-number",
+        "bad-pin-index",
+        "bad-solver-tol",
+        "ragged-head",
+        "fractional-N",
+        "fractional-max-iter",
+        "string-flag",
+        "fractional-seed",
+        "string-break-partials",
+        "fractional-r",
+    ],
 )
 @pytest.mark.parametrize("command", ["run", "check"])
 def test_bad_config_values_exit_1(tmp_path, capsys, overrides, command):

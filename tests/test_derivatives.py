@@ -3,6 +3,7 @@ import pytest
 
 from hovi.core import WindowFunction
 from hovi.derivatives import (
+    central_difference,
     check_gradient,
     cross_partial,
     partial,
@@ -59,6 +60,33 @@ def test_fd_exact_on_quadratics():
             ana = partial(f, j, w)
             num = partial_fd(f, j, w)
             np.testing.assert_allclose(num, ana, rtol=1e-9, atol=1e-9)
+
+
+def test_central_difference_exact_on_affine_map():
+    rng = np.random.default_rng(5)
+    A = rng.normal(size=(3, 4))
+    b = rng.normal(size=3)
+    x = 10.0 * rng.normal(size=4)
+    jac = central_difference(lambda y: A @ y + b, x, 1e-6)
+    assert jac.shape == (3, 4)
+    np.testing.assert_allclose(jac, A, rtol=1e-8, atol=1e-8)
+
+
+def test_central_difference_vector_valued_shape():
+    # fn: R^2 -> R^3, so the Jacobian is (3, 2), one column per coordinate
+    fn = lambda y: np.array([y[0] * y[1], np.sin(y[0]), y[1] ** 2])
+    x = np.array([0.4, -1.5])
+    jac = central_difference(fn, x, 1e-6)
+    assert jac.shape == (3, 2)
+    expected = np.array([[x[1], x[0]], [np.cos(x[0]), 0.0], [0.0, 2.0 * x[1]]])
+    np.testing.assert_allclose(jac, expected, rtol=1e-8, atol=1e-8)
+
+
+def test_central_difference_scalar_fn_is_one_row():
+    x = np.array([1.0, -2.0, 3.0])
+    jac = central_difference(lambda y: float(y @ y), x, 1e-6)
+    assert jac.shape == (1, 3)
+    np.testing.assert_allclose(jac[0], 2.0 * x, rtol=1e-8)
 
 
 def test_cross_partial_product():

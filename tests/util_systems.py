@@ -57,7 +57,7 @@ def desk_ocp():
     decoupled potential would leave the unactuated equation without any
     control authority and the multiplier system singular.
     """
-    from hovi.applications import UnderactuatedSpec
+    from hovi.applications import UnderactuatedSpec, coupled_quadratic_lagrangian
 
     K = np.array([[1.0, 0.8], [0.8, 2.0]])
     lagrangian = coupled_quadratic_lagrangian(2, K)
@@ -66,38 +66,3 @@ def desk_ocp():
     head = np.array([[0.0, 0.0], [0.01, 0.005]])
     tail = np.array([[0.05, 0.03], [0.055, 0.032]])
     return spec, times, head, tail
-
-
-def coupled_quadratic_lagrangian(n: int, stiffness: np.ndarray) -> WindowFunction:
-    """k=1 controlled Lagrangian on R x Q with analytic partials.
-
-    L = |v|^2/2 - q_bar^T K q_bar / 2 evaluated on a two-node extended
-    window (time is coordinate 0).
-    """
-    K = 0.5 * (stiffness + stiffness.T)
-
-    def lag(w):
-        dt = w[1, 0] - w[0, 0]
-        v = (w[1, 1:] - w[0, 1:]) / dt
-        qb = 0.5 * (w[0, 1:] + w[1, 1:])
-        return 0.5 * float(v @ v) - 0.5 * float(qb @ K @ qb)
-
-    def d1(w):
-        dt = w[1, 0] - w[0, 0]
-        v = (w[1, 1:] - w[0, 1:]) / dt
-        qb = 0.5 * (w[0, 1:] + w[1, 1:])
-        g = np.empty(n + 1)
-        g[0] = float(v @ v) / dt
-        g[1:] = -v / dt - 0.5 * (K @ qb)
-        return g
-
-    def d2(w):
-        dt = w[1, 0] - w[0, 0]
-        v = (w[1, 1:] - w[0, 1:]) / dt
-        qb = 0.5 * (w[0, 1:] + w[1, 1:])
-        g = np.empty(n + 1)
-        g[0] = -float(v @ v) / dt
-        g[1:] = v / dt - 0.5 * (K @ qb)
-        return g
-
-    return WindowFunction(1, n + 1, lag, (d1, d2))
