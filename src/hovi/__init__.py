@@ -49,13 +49,11 @@ from .timedep import (
     solve_free_times,
 )
 from .applications import (
-    InterpolationSpec,
     UnderactuatedSpec,
     beam_system,
     coupled_quadratic_lagrangian,
     great_circle_state,
     recover_controls,
-    solve_interpolation,
     solve_ocp,
     sphere_multiplier,
     sphere_spline_system,

@@ -2,8 +2,8 @@
 the underactuated optimal-control reduction."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -19,8 +19,6 @@ from .delsolve import (
 from .derivatives import partial
 from .errors import DimensionError, NumericError
 from .timedep import TimeDependentLagrangian
-
-_PIN_TOL = 1e-12
 
 
 def sphere_spline_system(r: float, h: float) -> ConstrainedSystem:
@@ -89,50 +87,6 @@ def great_circle_state(r: float, h: float) -> StepState:
         ]
     )
     return StepState(nodes, lams)
-
-
-@dataclass(frozen=True)
-class InterpolationSpec:
-    """Pinned interior nodes plus the 2k boundary nodes of a spline BVP."""
-
-    head: np.ndarray
-    tail: np.ndarray
-    pins: Dict[int, np.ndarray] = field(default_factory=dict)
-
-    def __post_init__(self):
-        head = np.atleast_2d(np.asarray(self.head, dtype=float))
-        tail = np.atleast_2d(np.asarray(self.tail, dtype=float))
-        pins = {int(i): np.asarray(p, dtype=float) for i, p in self.pins.items()}
-        object.__setattr__(self, "head", head)
-        object.__setattr__(self, "tail", tail)
-        object.__setattr__(self, "pins", pins)
-
-
-def solve_interpolation(
-    system: ConstrainedSystem,
-    spec: InterpolationSpec,
-    N: int,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-):
-    """BVP solve with the pinned nodes held fixed.
-
-    The stationarity equations at pinned nodes are dropped (the pins
-    replace them); constraints stay imposed on every window.
-    """
-    k, n = system.k, system.n
-    boundary = BoundaryData(spec.head, spec.tail, N).checked(k, n)
-    for i, point in spec.pins.items():
-        if not k <= i <= N - k:
-            raise DimensionError(f"pin index {i} outside interior range {k}..{N - k}")
-        if point.shape != (n,):
-            raise DimensionError(f"pin {i} has shape {point.shape}, expected ({n},)")
-        constant = np.tile(point, (k + 1, 1))
-        for phi in system.constraints:
-            if abs(phi.value(constant)) > _PIN_TOL:
-                raise DimensionError(f"pinned point at index {i} violates a constraint")
-    nodes0, q_mask = initial_guess(boundary, spec.pins)
-    return solve_masked(system, nodes0, q_mask, tol, max_iter)
 
 
 def beam_system(

@@ -21,13 +21,11 @@ from typing import Optional
 import numpy as np
 
 from .applications import (
-    InterpolationSpec,
     UnderactuatedSpec,
     beam_system,
     coupled_quadratic_lagrangian,
     great_circle_state,
     recover_controls,
-    solve_interpolation,
     solve_ocp,
     sphere_spline_system,
 )
@@ -81,6 +79,13 @@ def _integer(value, name: str) -> int:
     raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
+def _tolerance(value, name: str) -> float:
+    """A finite positive JSON number."""
+    if type(value) not in (int, float) or not 0 < value < np.inf:
+        raise ConfigError(f"{name} must be a finite positive number, got {value!r}")
+    return float(value)
+
+
 def _flag(value, name: str) -> bool:
     if type(value) is not bool:
         raise ConfigError(f"{name} must be true or false, got {value!r}")
@@ -113,10 +118,10 @@ def load_config(path: str) -> dict:
     _require_keys(cfg.get("boundary", {}), boundary_keys, set(), "boundary")
     solver = cfg.get("solver", {})
     _require_keys(solver, {"tol", "max_iter"}, set(), "solver")
-    tol = float(solver.get("tol", DEFAULT_TOL))
+    tol = _tolerance(solver.get("tol", DEFAULT_TOL), "solver.tol")
     max_iter = _integer(solver.get("max_iter", DEFAULT_MAX_ITER), "solver.max_iter")
-    if tol <= 0 or max_iter < 1:
-        raise ConfigError("solver tol must be positive and max_iter >= 1")
+    if max_iter < 1:
+        raise ConfigError("solver max_iter must be at least 1")
     cfg["solver"] = {"tol": tol, "max_iter": max_iter}
     diag = cfg.get("diagnostics", {})
     _require_keys(diag, {"symplectic", "momentum", "energy"}, set(), "diagnostics")
@@ -216,14 +221,12 @@ def _validate_sphere(cfg: dict):
         raise ConfigError("sphere-spline needs positive r and h")
     if N <= 4:
         raise ConfigError("sphere-spline needs N > 4")
-    system = sphere_spline_system(r, h)
     head = _boundary_block(cfg, "head", (2, 3))
     tail = _boundary_block(cfg, "tail", (2, 3))
     pins = cfg.get("pins", {})
     if not isinstance(pins, dict):
         raise ConfigError("pins must be a JSON object")
-    pins = {int(key): np.asarray(val, dtype=float) for key, val in pins.items()}
-    return system, r, h, N, head, tail, pins
+    return sphere_spline_system(r, h), BoundaryData(head, tail, N, pins), r, h
 
 
 def _validate_beam(cfg: dict):
@@ -309,7 +312,7 @@ def _validate_custom_run(cfg: dict):
     system, N = _validate_custom(cfg)
     head = _boundary_block(cfg, "head", (system.k, system.n))
     tail = _boundary_block(cfg, "tail", (system.k, system.n))
-    return system, N, head, tail
+    return system, BoundaryData(head, tail, N)
 
 
 # ---------------------------------------------------------------------------
@@ -364,18 +367,15 @@ def _report_payload(report) -> dict:
     }
 
 
-def _solve_sphere(problem, tol, max_iter):
-    system, r, h, N, head, tail, pins = problem
-    if pins:
-        spec = InterpolationSpec(head, tail, pins)
-        return solve_interpolation(system, spec, N, tol, max_iter)
-    return solve_bvp(system, BoundaryData(head, tail, N), tol=tol, max_iter=max_iter)
+def _solve_bvp(problem, tol, max_iter):
+    system, boundary = problem[:2]
+    return solve_bvp(system, boundary, tol=tol, max_iter=max_iter)
 
 
 def _write_sphere(cfg, problem, solution, diag, trajectory):
-    system, r, h, N, head, tail, pins = problem
+    system, boundary, r, h = problem
     path, mult, _ = solution
-    _write_csv(trajectory, h * np.arange(N + 1), path.nodes, mult.lambdas)
+    _write_csv(trajectory, h * np.arange(boundary.N + 1), path.nodes, mult.lambdas)
     diag["max_norm_defect"] = float(
         np.max(np.abs(np.linalg.norm(path.nodes, axis=1) - r))
     )
@@ -388,7 +388,7 @@ def _write_sphere(cfg, problem, solution, diag, trajectory):
             diag["symplectic_restricted"] = bool(srep.restricted)
         if cfg["diagnostics"]["momentum"]:
             traj = [state]
-            for _ in range(min(10, N)):
+            for _ in range(min(10, boundary.N)):
                 nxt, _ = step(system, traj[-1], tol=tol)
                 traj.append(nxt)
             diag["momentum_drift"] = float(
@@ -426,25 +426,20 @@ def _write_ocp(cfg, problem, solution, diag, trajectory):
     diag["controls"] = [[float(v) for v in row] for row in controls]
 
 
-def _solve_custom(problem, tol, max_iter):
-    system, N, head, tail = problem
-    return solve_bvp(system, BoundaryData(head, tail, N), tol=tol, max_iter=max_iter)
-
-
 def _write_custom(cfg, problem, solution, diag, trajectory):
-    system, N, _, _ = problem
+    system, boundary = problem
     path, mult, _ = solution
     lambdas = mult.lambdas if system.m else None
-    _write_csv(trajectory, np.arange(N + 1, dtype=float), path.nodes, lambdas)
+    _write_csv(trajectory, np.arange(boundary.N + 1, dtype=float), path.nodes, lambdas)
 
 
 # system -> (validate the config, solve, write the trajectory and the
 # system's own diagnostics)
 _RUNS = {
-    "sphere-spline": (_validate_sphere, _solve_sphere, _write_sphere),
+    "sphere-spline": (_validate_sphere, _solve_bvp, _write_sphere),
     "beam": (_validate_beam, _solve_beam, _write_beam),
     "ocp": (_validate_ocp, _solve_ocp, _write_ocp),
-    "custom-polynomial": (_validate_custom_run, _solve_custom, _write_custom),
+    "custom-polynomial": (_validate_custom_run, _solve_bvp, _write_custom),
 }
 
 
@@ -463,8 +458,16 @@ def run_command(cfg: dict, out_dir: str) -> int:
         _write_json(diagnostics, diag)
         return EXIT_NONCONVERGENCE
     diag.update(_report_payload(solution[-1]))
-    write(cfg, problem, solution, diag, os.path.join(out_dir, cfg["output"]["trajectory"]))
-    _write_json(diagnostics, diag)
+    trajectory = os.path.join(out_dir, cfg["output"]["trajectory"])
+    # A diagnostic that fails after a converged solve is recorded, and the
+    # run still exits with the failure's code.
+    try:
+        write(cfg, problem, solution, diag, trajectory)
+    except (NonConvergenceError, RegularityError) as exc:
+        diag["diagnostic_error"] = str(exc)
+        raise
+    finally:
+        _write_json(diagnostics, diag)
     return EXIT_OK
 
 
@@ -525,7 +528,7 @@ def check_command(cfg: dict) -> int:
     elif name == "beam":
         system = extend(_validated(_validate_beam, cfg)[0])
     elif name == "sphere-spline":
-        system, r, h = _validated(_validate_sphere, cfg)[:3]
+        system, _, r, h = _validated(_validate_sphere, cfg)
     else:
         system = _validated(_validate_custom, cfg)[0]
     add("gradient_check", _gradient_checks(system, rng), 1e-5)
@@ -585,19 +588,14 @@ def main(argv=None) -> int:
         cfg = _validated(load_config, args.config)
         if args.command == "run":
             if args.tol is not None:
-                if args.tol <= 0:
-                    raise ConfigError("--tol must be positive")
-                cfg["solver"]["tol"] = args.tol
+                cfg["solver"]["tol"] = _tolerance(args.tol, "--tol")
             if args.max_iter is not None:
                 if args.max_iter < 1:
                     raise ConfigError("--max-iter must be at least 1")
                 cfg["solver"]["max_iter"] = args.max_iter
             return run_command(cfg, args.out)
         return check_command(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (DimensionError, NumericError) as exc:
+    except (ConfigError, DimensionError, NumericError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except RegularityError as exc:

@@ -24,17 +24,23 @@ from .errors import DimensionError, NonConvergenceError, NumericError, Regularit
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 50
 _COND_LIMIT = 1e13
-_MAX_HALVINGS = 30
 _JAC_STEP = 1e-7
+_PIN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class BoundaryData:
-    """Fixed head nodes q_0..q_{k-1} and tail nodes q_{N-k+1}..q_N."""
+    """Fixed head nodes q_0..q_{k-1}, tail nodes q_{N-k+1}..q_N, and pins.
+
+    ``pins`` maps interior node indices to points the solution must pass
+    through (Riemannian interpolation); empty for a plain boundary-value
+    problem.
+    """
 
     head: np.ndarray
     tail: np.ndarray
     N: int
+    pins: dict[int, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
         head = np.atleast_2d(np.asarray(self.head, dtype=float))
@@ -44,19 +50,28 @@ class BoundaryData:
         k = head.shape[0]
         if self.N <= 2 * k:
             raise DimensionError(f"need N > 2k, got N={self.N} with k={k}")
+        pins = {int(i): np.asarray(q, dtype=float) for i, q in self.pins.items()}
         object.__setattr__(self, "head", head)
         object.__setattr__(self, "tail", tail)
+        object.__setattr__(self, "pins", pins)
 
     @property
     def k(self) -> int:
         return self.head.shape[0]
 
     def checked(self, k: int, n: int) -> "BoundaryData":
-        """This boundary data, after checking its blocks have shape (k, n)."""
+        """This boundary data, after checking its blocks and pins fit (k, n)."""
         if self.head.shape != (k, n):
             raise DimensionError(
                 f"boundary blocks have shape {self.head.shape}, expected {(k, n)}"
             )
+        for i, point in self.pins.items():
+            if not k <= i <= self.N - k:
+                raise DimensionError(
+                    f"pin index {i} outside interior range {k}..{self.N - k}"
+                )
+            if point.shape != (n,):
+                raise DimensionError(f"pin {i} has shape {point.shape}, expected ({n},)")
         return self
 
 
@@ -95,6 +110,12 @@ class StepState:
         """Coordinates z: the configs row by row, then the multipliers."""
         return np.concatenate([self.configs.ravel(), self.multipliers.ravel()])
 
+    @classmethod
+    def unflatten(cls, z: np.ndarray, k: int, n: int, m: int) -> "StepState":
+        """The state with coordinates z; the inverse of flatten."""
+        nq = 2 * k * n
+        return cls(z[:nq].reshape(2 * k, n), z[nq:].reshape(k, m))
+
     def checked(self, system: ConstrainedSystem) -> "StepState":
         """This state, after checking it matches the system's (k, n, m)."""
         k, n, m = system.k, system.n, system.m
@@ -112,16 +133,23 @@ class SolveReport:
     residual_history: list = field(default_factory=list)
 
 
-def _del_residual_nodes(
+def node_gradient(
     system: ConstrainedSystem,
     nodes: np.ndarray,
     lambdas: np.ndarray,
     p: int,
 ) -> np.ndarray:
-    """Stationarity residual at node p on raw (N+1, n) node data."""
+    """Gradient in node p of the augmented action of a node block.
+
+    Sums D_j of L + lambda . Phi over the windows of the block that
+    contain node p, the last such window first (j ascending); window s
+    holds nodes[s : s+k+1] and pairs with lambdas[s].  At an interior
+    node this is the DEL residual; on the 2k nodes of a step state its
+    first k rows are minus theta_minus and its last k rows theta_plus.
+    """
     k = system.k
     res = np.zeros(system.n)
-    for j in range(1, k + 2):
+    for j in range(max(1, p + k + 2 - nodes.shape[0]), min(p, k) + 2):
         s = p - j + 1
         window = nodes[s : s + k + 1]
         res += partial(system.lagrangian, j, window)
@@ -147,7 +175,7 @@ def del_residual(
         raise DimensionError(f"node index {p} outside interior range {k}..{N - k}")
     if multipliers.lambdas.shape != (N - k + 1, system.m):
         raise DimensionError("multiplier sequence shape does not match path")
-    return _del_residual_nodes(system, path.nodes, multipliers.lambdas, p)
+    return node_gradient(system, path.nodes, multipliers.lambdas, p)
 
 
 def constraint_residual(
@@ -184,10 +212,11 @@ def regularity_matrix(system: ConstrainedSystem, window, lam) -> np.ndarray:
 def newton_solve(residual, x0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     """Damped Newton on a square nonlinear system.
 
-    Backtracks by halving on the max-norm of the residual; falls back to
-    the full step when no decrease is found (roundoff floor).  Raises
-    RegularityError on a singular/ill-conditioned Jacobian and
-    NonConvergenceError (carrying the last iterate) at the iteration cap.
+    Every accepted iterate passes a sufficient-decrease test on the
+    max-norm of the residual.  Raises RegularityError on a
+    singular/ill-conditioned Jacobian, and NonConvergenceError (carrying
+    the last accepted iterate) when the line search finds no decrease or
+    at the iteration cap.
     """
     x = np.asarray(x0, dtype=float).copy()
     report = SolveReport()
@@ -207,14 +236,14 @@ def newton_solve(residual, x0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
         jac = _fd_jacobian(residual, x)
         if not np.all(np.isfinite(jac)):
             raise NumericError("non-finite entries in Newton Jacobian")
-        cond = float(np.linalg.cond(jac))
+        u, sv, vt = np.linalg.svd(jac)
+        cond = float(sv[0]) / float(sv[-1]) if sv[-1] > 0.0 else np.inf
         report.jacobian_condition_estimate = cond
-        if not np.isfinite(cond) or cond > _COND_LIMIT:
+        if cond > _COND_LIMIT:
             raise RegularityError(
                 f"singular Newton Jacobian (condition estimate {cond:.3e})",
                 condition=cond,
             )
-        u, sv, vt = np.linalg.svd(jac)
         utf = u.T @ f
 
         # Damped Newton with a Levenberg-Marquardt ladder.  Each rung
@@ -237,25 +266,12 @@ def newton_solve(residual, x0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
             if best is not None:
                 break
         if best is None:
-            # Roundoff floor: accept any decrease along the pure Newton
-            # direction, or take the full step and move on.
-            dx = -vt.T @ (utf / sv)
-            alpha = 1.0
-            for _ in range(_MAX_HALVINGS):
-                x_try = x + alpha * dx
-                f_try = np.asarray(residual(x_try), dtype=float)
-                fnorm_try = float(np.max(np.abs(f_try)))
-                if np.isfinite(fnorm_try) and fnorm_try < fnorm:
-                    best = (x_try, f_try, fnorm_try)
-                    break
-                alpha *= 0.5
-            if best is None:
-                x_try = x + dx
-                f_try = np.asarray(residual(x_try), dtype=float)
-                fnorm_try = float(np.max(np.abs(f_try)))
-                if not np.isfinite(fnorm_try):
-                    raise NumericError("non-finite residual during Newton iteration")
-                best = (x_try, f_try, fnorm_try)
+            raise NonConvergenceError(
+                f"Newton line search found no decrease of the residual "
+                f"{fnorm:.3e} at any damping level (iteration {it + 1})",
+                last_iterate=x,
+                report=report,
+            )
         x, f, fnorm = best
         report.iterations = it + 1
         report.residual_history.append(fnorm)
@@ -276,16 +292,15 @@ def _fd_jacobian(residual, x):
     return central_difference(residual, x, _JAC_STEP)
 
 
-def initial_guess(boundary: BoundaryData, pins=None):
+def initial_guess(boundary: BoundaryData):
     """Linear initial guess for a boundary-value solve and its unknown mask.
 
     Copies the head and tail blocks and interpolates the interior
-    linearly through the anchors (k-1, head[-1]), the pinned nodes
+    linearly through the anchors (k-1, head[-1]), the pins
     (index -> point) and (N-k+1, tail[0]).  The mask marks every interior
     coordinate except those of the pinned nodes.
     """
-    k, N = boundary.k, boundary.N
-    pins = pins or {}
+    k, N, pins = boundary.k, boundary.N, boundary.pins
     nodes = np.zeros((N + 1, boundary.head.shape[1]))
     nodes[:k] = boundary.head
     nodes[N - k + 1 :] = boundary.tail
@@ -335,7 +350,7 @@ def solve_masked(
         nodes[q_mask] = x[:nq]
         lams = x[nq:].reshape(nwin, m)
         parts = [
-            _del_residual_nodes(system, nodes, lams, p)[q_mask[p]] for p in eq_rows
+            node_gradient(system, nodes, lams, p)[q_mask[p]] for p in eq_rows
         ]
         for i in range(nwin):
             window = nodes[i : i + k + 1]
@@ -394,13 +409,19 @@ def solve_bvp(
 ):
     """Solve the constrained DEL boundary-value problem.
 
-    Unknowns are the interior nodes q_k..q_{N-k} and all multipliers;
-    equations are the DEL residuals at every interior node and the
-    constraints on every window.  The interior starts from guess_path
-    when given, from the linear initial guess otherwise.
+    Unknowns are the interior nodes q_k..q_{N-k} that are not pinned and
+    all multipliers; equations are the DEL residuals at those nodes and
+    the constraints on every window.  Pinned nodes are held fixed and
+    must satisfy every constraint.  The unknown nodes start from
+    guess_path when given, from the linear initial guess otherwise.
     """
     k, n = system.k, system.n
     N = boundary.checked(k, n).N
+    for i, point in boundary.pins.items():
+        constant = np.tile(point, (k + 1, 1))
+        for phi in system.constraints:
+            if abs(phi.value(constant)) > _PIN_TOL:
+                raise DimensionError(f"pinned point at index {i} violates a constraint")
     nodes0, q_mask = initial_guess(boundary)
     if guess_path is not None:
         if guess_path.nodes.shape != (N + 1, n):
@@ -460,7 +481,7 @@ def step(
         local = nodes.copy()
         local[2 * k] = x[:n]
         lams = np.vstack([state.multipliers, x[n:].reshape(1, m)])
-        r = _del_residual_nodes(system, local, lams, k)
+        r = node_gradient(system, local, lams, k)
         c = np.array(
             [
                 phi.value(constraint_window(local, js))

@@ -22,7 +22,7 @@ class RegularityError(RuntimeError):
 
 
 class NonConvergenceError(RuntimeError):
-    """Newton iteration hit the iteration cap before reaching tolerance.
+    """Newton stopped short of tolerance: iteration cap or failed line search.
 
     ``last_iterate`` holds the final (path, multipliers) pair or raw
     unknown vector; ``report`` the solve diagnostics.

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import ConstrainedSystem
-from .delsolve import StepState, step
+from .delsolve import StepState, node_gradient, step
 from .derivatives import FD_STEP, central_difference, partial
 from .errors import DimensionError, NumericError
 
@@ -57,55 +57,38 @@ def translation_action(n: int) -> GroupAction:
     return GroupAction(tuple(make(a) for a in range(n)))
 
 
-def _augmented_partial(system, j, window, lam):
-    g = partial(system.lagrangian, j, window)
-    for alpha, phi in enumerate(system.constraints):
-        g = g + lam[alpha] * partial(phi, j, window)
-    return g
+def _node_gradients(system, point, rows):
+    """Node gradients of the state's block at the given rows, zero elsewhere."""
+    point.checked(system)
+    coeff = np.zeros((2 * system.k, system.n))
+    for i in rows:
+        coeff[i] = node_gradient(system, point.configs, point.multipliers, i)
+    return coeff.ravel()
 
 
 def theta_minus(system: ConstrainedSystem, point: StepState) -> np.ndarray:
     """Coefficients of the minus boundary one-form in dq_0..dq_{2k-1}.
 
-    Nonzero only on the first k nodes; node i accumulates minus the sum
-    of D_j terms over the windows containing it that start at or before
-    node 0 ... node i.
+    Minus the node gradient of the augmented action of the state's
+    windows on the first k nodes, zero on the last k.
     """
-    point.checked(system)
-    k, n = system.k, system.n
-    coeff = np.zeros((2 * k, n))
-    for i in range(k):
-        acc = np.zeros(n)
-        for j in range(1, i + 2):
-            s = i - j + 1
-            window = point.configs[s : s + k + 1]
-            acc += _augmented_partial(system, j, window, point.multipliers[s])
-        coeff[i] = -acc
-    return coeff.ravel()
+    return -_node_gradients(system, point, range(system.k))
 
 
 def theta_plus(system: ConstrainedSystem, point: StepState) -> np.ndarray:
     """Coefficients of the plus boundary one-form in dq_0..dq_{2k-1}.
 
-    Mirror of theta_minus: nonzero only on the last k nodes.
+    The node gradient of the augmented action of the state's windows on
+    the last k nodes, zero on the first k.  theta_plus of the state at
+    node p-k minus theta_minus of the state at node p gives, at node p,
+    the DEL residual there.
     """
-    point.checked(system)
-    k, n = system.k, system.n
-    coeff = np.zeros((2 * k, n))
-    for i in range(k, 2 * k):
-        acc = np.zeros(n)
-        for j in range(i - k + 2, k + 2):
-            s = i - j + 1
-            window = point.configs[s : s + k + 1]
-            acc += _augmented_partial(system, j, window, point.multipliers[s])
-        coeff[i] = acc
-    return coeff.ravel()
+    return _node_gradients(system, point, range(system.k, 2 * system.k))
 
 
 def _theta_of_coords(system, z, which):
     k, n, m = system.k, system.n, system.m
-    nq = 2 * k * n
-    point = StepState(z[:nq].reshape(2 * k, n), z[nq:].reshape(k, m))
+    point = StepState.unflatten(z, k, n, m)
     th = theta_minus(system, point) if which == "minus" else theta_plus(system, point)
     return np.concatenate([th, np.zeros(k * m)])
 
@@ -162,8 +145,7 @@ def check_symplecticity(
     k, n, m = system.k, system.n, system.m
 
     def step_map(z):
-        st = StepState(z[: 2 * k * n].reshape(2 * k, n), z[2 * k * n :].reshape(k, m))
-        nxt, _ = step(system, st, tol=tol)
+        nxt, _ = step(system, StepState.unflatten(z, k, n, m), tol=tol)
         return nxt.flatten()
 
     jac = central_difference(step_map, state.flatten(), _STEP_MAP_STEP)

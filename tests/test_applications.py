@@ -6,12 +6,10 @@ from hovi.delsolve import BoundaryData, del_residual, solve_bvp
 from hovi.derivatives import check_gradient, partial
 from hovi.errors import DimensionError, NumericError
 from hovi.applications import (
-    InterpolationSpec,
     UnderactuatedSpec,
     beam_system,
     coupled_quadratic_lagrangian,
     recover_controls,
-    solve_interpolation,
     solve_ocp,
     sphere_multiplier,
     sphere_spline_system,
@@ -73,34 +71,20 @@ def test_sphere_solution_matches_closed_form_multiplier():
         assert mult.lambdas[p, 0] == pytest.approx(lam, abs=1e-8)
 
 
-def test_interpolation_empty_pins_equals_bvp():
-    system = sphere_spline_system(1.0, 0.1)
-    N = 6
-    nodes = np.array([circle(i) for i in range(N + 1)])
-    spec = InterpolationSpec(nodes[:2], nodes[-2:], {})
-    path_i, mult_i, _ = solve_interpolation(system, spec, N)
-    path_b, mult_b, _ = solve_bvp(system, BoundaryData(nodes[:2], nodes[-2:], N))
-    np.testing.assert_allclose(path_i.nodes, path_b.nodes, atol=1e-12)
-    np.testing.assert_allclose(mult_i.lambdas, mult_b.lambdas, atol=1e-12)
-
-
 def test_interpolation_pin_validation():
     system = sphere_spline_system(1.0, 0.1)
     nodes = np.array([circle(i) for i in range(7)])
     with pytest.raises(DimensionError):
-        spec = InterpolationSpec(nodes[:2], nodes[-2:], {3: np.array([2.0, 0.0, 0.0])})
-        solve_interpolation(system, spec, 6)
+        solve_bvp(system, BoundaryData(nodes[:2], nodes[-2:], 6, {3: [2.0, 0.0, 0.0]}))
     with pytest.raises(DimensionError):
-        spec = InterpolationSpec(nodes[:2], nodes[-2:], {1: circle(1)})
-        solve_interpolation(system, spec, 6)
+        solve_bvp(system, BoundaryData(nodes[:2], nodes[-2:], 6, {1: circle(1)}))
 
 
 def test_interpolation_all_interior_pinned():
     system = sphere_spline_system(1.0, 0.1)
     nodes = np.array([circle(i) for i in range(7)])
     pins = {i: nodes[i] for i in range(2, 5)}
-    spec = InterpolationSpec(nodes[:2], nodes[-2:], pins)
-    path, mult, report = solve_interpolation(system, spec, 6)
+    path, mult, report = solve_bvp(system, BoundaryData(nodes[:2], nodes[-2:], 6, pins))
     assert report.converged
     assert report.iterations <= 1
     np.testing.assert_allclose(path.nodes, nodes, atol=1e-14)
@@ -111,8 +95,7 @@ def test_interpolation_through_pinned_point():
     N = 10
     nodes = np.array([circle(i, theta=0.15) for i in range(N + 1)])
     pin = np.array([0.0, 1.0, 0.0])
-    spec = InterpolationSpec(nodes[:2], nodes[-2:], {5: pin})
-    path, mult, report = solve_interpolation(system, spec, N)
+    path, mult, report = solve_bvp(system, BoundaryData(nodes[:2], nodes[-2:], N, {5: pin}))
     assert report.converged
     np.testing.assert_allclose(path.nodes[5], pin, atol=1e-14)
     np.testing.assert_allclose(np.linalg.norm(path.nodes, axis=1), 1.0, atol=1e-10)
@@ -123,10 +106,8 @@ def test_interpolation_action_nonincreasing_without_pin():
     N = 8
     nodes = np.array([circle(i, theta=0.2) for i in range(N + 1)])
     pin = circle(4.0, theta=0.25)
-    pinned = InterpolationSpec(nodes[:2], nodes[-2:], {4: pin})
-    free = InterpolationSpec(nodes[:2], nodes[-2:], {})
-    path_p, mult_p, _ = solve_interpolation(system, pinned, N)
-    path_f, mult_f, _ = solve_interpolation(system, free, N)
+    path_p, mult_p, _ = solve_bvp(system, BoundaryData(nodes[:2], nodes[-2:], N, {4: pin}))
+    path_f, mult_f, _ = solve_bvp(system, BoundaryData(nodes[:2], nodes[-2:], N))
     a_pinned = discrete_action(system, path_p, mult_p)
     a_free = discrete_action(system, path_f, mult_f)
     assert a_free <= a_pinned + 1e-9

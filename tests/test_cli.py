@@ -236,6 +236,9 @@ def ocp_config(tmp_path, **overrides):
         {"params": {"r": "abc", "h": 0.1, "N": 8}},
         {"pins": {"x": circle(4)}},
         {"solver": {"tol": "x"}},
+        {"solver": {"tol": float("inf")}},
+        {"solver": {"tol": float("nan")}},
+        {"solver": {"tol": True}},
         {"boundary": {"head": [circle(0), circle(1)[:2]], "tail": [circle(7), circle(8)]}},
         {"params": {"r": 1.0, "h": 0.1, "N": 8.5}},
         {"solver": {"max_iter": 10.5}},
@@ -260,6 +263,9 @@ def ocp_config(tmp_path, **overrides):
         "bad-number",
         "bad-pin-index",
         "bad-solver-tol",
+        "infinite-solver-tol",
+        "nan-solver-tol",
+        "boolean-solver-tol",
         "ragged-head",
         "fractional-N",
         "fractional-max-iter",
@@ -320,6 +326,34 @@ def test_bad_config_values_exit_1(tmp_path, capsys, overrides, command):
 def test_load_config_rejects_misplaced_keys(tmp_path, make_config):
     with pytest.raises(ConfigError):
         load_config(make_config(tmp_path))
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-8"])
+def test_bad_tol_option_exits_1(tmp_path, capsys, tol):
+    out = tmp_path / "out"
+    assert cli.main(["run", sphere_config(tmp_path), "--out", str(out), f"--tol={tol}"]) == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not (out / "trajectory.csv").exists()
+
+
+def test_run_failed_diagnostic_keeps_diagnostics_json(tmp_path):
+    # The solve through the pin converges; one momentum step after it
+    # finds no decrease of its residual.
+    angle = lambda a: [float(np.cos(a)), float(np.sin(a)), 0.0]
+    path = sphere_config(
+        tmp_path,
+        params={"r": 1.0, "h": 0.1, "N": 10},
+        boundary={"head": [angle(0.0), angle(0.1)], "tail": [angle(0.9), angle(1.0)]},
+        pins={"5": [0.0, 1.0, 0.0]},
+        diagnostics={"momentum": True},
+    )
+    out = tmp_path / "out"
+    assert cli.main(["run", path, "--out", str(out)]) == 2
+    assert (out / "trajectory.csv").exists()
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert diag["converged"] is True
+    assert "line search" in diag["diagnostic_error"]
+    assert "momentum_drift" not in diag
 
 
 def test_run_singular_jacobian_exits_3(tmp_path, capsys):

@@ -21,6 +21,7 @@ from hovi.delsolve import (
 )
 from hovi.errors import DimensionError, NonConvergenceError, RegularityError
 from hovi.applications import sphere_spline_system
+from hovi.geometry import theta_minus, theta_plus
 
 from util_systems import free_particle, second_difference_system
 
@@ -194,6 +195,46 @@ def test_newton_nonconvergence_carries_iterate():
     path, mult = err.value.last_iterate
     assert path.nodes.shape == (7, 1)
     assert err.value.report.iterations == 1
+
+
+def test_newton_rejects_every_worse_trial():
+    # f(x) = 1 + x + 3|x| has its minimum 1 at the kink x = 0, where the
+    # central-difference slope is 1: every trial along -1 at every damping
+    # level raises the residual, so the solve stops at x0.
+    def residual(x):
+        return np.array([1.0 + x[0] + 3.0 * abs(x[0])])
+
+    with pytest.raises(NonConvergenceError, match="line search") as err:
+        newton_solve(residual, np.array([0.0]))
+    assert "1.000e+00" in str(err.value)
+    np.testing.assert_array_equal(err.value.last_iterate, [0.0])
+    assert err.value.report.residual_history == [1.0]
+    assert err.value.report.iterations == 0
+    assert err.value.report.jacobian_condition_estimate == pytest.approx(1.0)
+
+
+def test_node_gradient_splits_into_theta_plus_and_minus():
+    # At node p the DEL residual is theta_plus of the state starting at
+    # node p-k (block k) minus theta_minus of the state starting at p.
+    for k in (1, 2, 3):
+        for m in (0, 1, 2):
+            for seed in range(3):
+                n, N = 2, 4 * k
+                system = polynomial_system(k, n, m, seed, degree=4)
+                rng = np.random.default_rng([k, m, seed])
+                nodes = rng.normal(size=(N + 1, n))
+                lams = rng.normal(size=(N - k + 1, m))
+                path, mult = DiscretePath(nodes), MultiplierSequence(lams)
+                for p in range(k, N - 2 * k + 2):
+                    before = StepState(nodes[p - k : p + k], lams[p - k : p])
+                    after = StepState(nodes[p : p + 2 * k], lams[p : p + k])
+                    split = (
+                        theta_plus(system, before).reshape(2 * k, n)[k]
+                        - theta_minus(system, after).reshape(2 * k, n)[0]
+                    )
+                    res = del_residual(system, path, mult, p)
+                    scale = np.abs(res).max()
+                    np.testing.assert_allclose(split, res, rtol=0, atol=1e-12 * scale)
 
 
 def test_step_continues_cubic():
