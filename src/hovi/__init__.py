@@ -12,6 +12,7 @@ from .delsolve import (
     BoundaryData,
     SolveReport,
     StepState,
+    constraint_gradients,
     constraint_residual,
     del_residual,
     regularity_matrix,

@@ -79,11 +79,32 @@ def _integer(value, name: str) -> int:
     raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
+def _real(value, name: str, shape=()):
+    """Finite JSON numbers in nested lists of the given shape (any when None).
+
+    A float for shape (), an array otherwise.  Booleans, strings, NaN and
+    the infinities are errors.
+    """
+    def check(v):
+        if isinstance(v, list):
+            for item in v:
+                check(item)
+        elif type(v) not in (int, float) or not abs(v) <= sys.float_info.max:
+            raise ConfigError(f"{name} must hold finite numbers, got {v!r}")
+
+    check(value)
+    arr = np.asarray(value, dtype=float)
+    if shape is not None and arr.shape != shape:
+        raise ConfigError(f"{name} must have shape {shape}, got {arr.shape}")
+    return float(arr) if arr.shape == () else arr
+
+
 def _tolerance(value, name: str) -> float:
     """A finite positive JSON number."""
-    if type(value) not in (int, float) or not 0 < value < np.inf:
+    tol = _real(value, name)
+    if tol <= 0:
         raise ConfigError(f"{name} must be a finite positive number, got {value!r}")
-    return float(value)
+    return tol
 
 
 def _flag(value, name: str) -> bool:
@@ -150,10 +171,7 @@ def _boundary_block(cfg: dict, key: str, shape) -> np.ndarray:
     boundary = cfg.get("boundary", {})
     if key not in boundary:
         raise ConfigError(f"boundary.{key} is required for system {cfg['system']!r}")
-    arr = np.asarray(boundary[key], dtype=float)
-    if arr.shape != shape:
-        raise ConfigError(f"boundary.{key} must have shape {shape}, got {arr.shape}")
-    return arr
+    return _real(boundary[key], f"boundary.{key}", shape)
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +224,8 @@ def polynomial_system(
 
 
 def _build_mu_rho(params: dict):
-    mu_c = np.atleast_1d(np.asarray(params.get("mu", 1.0), dtype=float))
-    rho_c = np.atleast_1d(np.asarray(params.get("rho", 0.0), dtype=float))
+    mu_c = np.atleast_1d(_real(params.get("mu", 1.0), "mu", None))
+    rho_c = np.atleast_1d(_real(params.get("rho", 0.0), "rho", None))
     mu = np.polynomial.Polynomial(mu_c)
     rho = np.polynomial.Polynomial(rho_c)
     return mu, rho, mu.deriv(), rho.deriv()
@@ -216,7 +234,8 @@ def _build_mu_rho(params: dict):
 def _validate_sphere(cfg: dict):
     params = cfg["params"]
     _require_keys(params, {"r", "h", "N"}, {"r", "h", "N"}, "params")
-    r, h, N = float(params["r"]), float(params["h"]), _integer(params["N"], "N")
+    r, h = (_real(params[key], key) for key in ("r", "h"))
+    N = _integer(params["N"], "N")
     if r <= 0 or h <= 0:
         raise ConfigError("sphere-spline needs positive r and h")
     if N <= 4:
@@ -226,6 +245,7 @@ def _validate_sphere(cfg: dict):
     pins = cfg.get("pins", {})
     if not isinstance(pins, dict):
         raise ConfigError("pins must be a JSON object")
+    pins = {i: _real(point, f"pins.{i}", (3,)) for i, point in pins.items()}
     return sphere_spline_system(r, h), BoundaryData(head, tail, N, pins), r, h
 
 
@@ -240,9 +260,10 @@ def _validate_beam(cfg: dict):
     boundary = cfg.get("boundary", {})
     keys = {"head_times", "head", "tail_times", "tail"}
     _require_keys(boundary, keys, keys, "boundary")
+    timed = {key: _real(boundary[key], f"boundary.{key}", None) for key in keys}
     try:
-        head = TimedPath(boundary["head_times"], boundary["head"])
-        tail = TimedPath(boundary["tail_times"], boundary["tail"])
+        head = TimedPath(timed["head_times"], timed["head"])
+        tail = TimedPath(timed["tail_times"], timed["tail"])
     except DimensionError as exc:
         raise ConfigError(f"bad beam boundary: {exc}")
     if head.times.shape[0] != 2 or tail.times.shape[0] != 2:
@@ -263,14 +284,12 @@ def _validate_ocp(cfg: dict):
         raise ConfigError("ocp needs 1 <= r < n")
     if N <= 4:
         raise ConfigError("ocp needs N > 4")
-    K = np.asarray(params["stiffness"], dtype=float)
-    if K.shape != (n, n):
-        raise ConfigError(f"stiffness must be {n}x{n}")
-    weight = float(params.get("cost_weight", 1.0))
+    K = _real(params["stiffness"], "stiffness", (n, n))
+    weight = _real(params.get("cost_weight", 1.0), "cost_weight")
     if weight <= 0:
         raise ConfigError("cost_weight must be positive")
-    t0 = float(params.get("t0", 0.0))
-    h = float(params.get("h", 0.25))
+    t0 = _real(params.get("t0", 0.0), "t0")
+    h = _real(params.get("h", 0.25), "h")
     if h <= 0:
         raise ConfigError("ocp needs positive h")
     lagrangian = coupled_quadratic_lagrangian(n, K)

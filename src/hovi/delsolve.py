@@ -25,7 +25,6 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 50
 _COND_LIMIT = 1e13
 _JAC_STEP = 1e-7
-_PIN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -186,6 +185,16 @@ def constraint_residual(
     return np.array([phi.value(window) for phi in system.constraints])
 
 
+def constraint_gradients(system: ConstrainedSystem, window) -> np.ndarray:
+    """The partials D_j phi_alpha on one window, indexed [alpha, j-1]: (m, k+1, n).
+
+    Its nonzero entries are the window coordinates a constraint reads.
+    """
+    k = system.k
+    grads = [partial(phi, j, window) for phi in system.constraints for j in range(1, k + 2)]
+    return np.reshape(grads, (system.m, k + 1, system.n))
+
+
 def regularity_matrix(system: ConstrainedSystem, window, lam) -> np.ndarray:
     """Bordered matrix whose invertibility defines the one-step map.
 
@@ -201,12 +210,8 @@ def regularity_matrix(system: ConstrainedSystem, window, lam) -> np.ndarray:
     top_left = cross_partial(system.lagrangian, 1, k + 1, w)
     for alpha, phi in enumerate(system.constraints):
         top_left = top_left + lam[alpha] * cross_partial(phi, 1, k + 1, w)
-    mat = np.zeros((n + m, n + m))
-    mat[:n, :n] = top_left
-    for alpha, phi in enumerate(system.constraints):
-        mat[:n, n + alpha] = partial(phi, k + 1, w)
-        mat[n + alpha, :n] = partial(phi, 1, w)
-    return mat
+    grads = constraint_gradients(system, w)
+    return np.block([[top_left, grads[:, k].T], [grads[:, 0], np.zeros((m, m))]])
 
 
 def newton_solve(residual, x0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
@@ -329,9 +334,10 @@ def solve_masked(
     """Newton solve with selected node coordinates as unknowns.
 
     q_mask marks the unknown scalar coordinates (interior nodes only);
-    the DEL residual is imposed on exactly those components.  All
-    multipliers are unknown, starting from zero, and all window
-    constraints are imposed whenever m > 0.
+    the DEL residual is imposed on exactly those components.  A window
+    constraint that reads an unknown coordinate is imposed, its multiplier
+    starting from zero; one that reads only fixed nodes must hold there to
+    max(tol, 1e-9), or DimensionError is raised before the solve.
     """
     k, m = system.k, system.m
     nodes0 = np.asarray(nodes0, dtype=float)
@@ -359,14 +365,21 @@ def solve_masked(
 
     x0 = np.concatenate([nodes0[q_mask], np.zeros(nwin * m)])
 
-    # A constraint whose window holds only fixed nodes (and whose
-    # multiplier consequently enters no retained equation) would make the
-    # stacked Jacobian structurally singular.  Freeze such pairs out of
-    # the Newton system and verify their residuals afterwards.
+    # The pair (window i, constraint alpha) enters the Newton system iff
+    # phi_alpha reads an unknown coordinate of window i.  Otherwise its
+    # multiplier enters no DEL row and phi_alpha reads only fixed data.
     keep = np.ones(x0.size, dtype=bool)
-    if m > 0 and x0.size:
-        jac0 = _fd_jacobian(residual, x0)
-        keep[nq:] = jac0[nq:].any(axis=1) | jac0[:, nq:].any(axis=0)
+    for i in range(nwin):
+        window = nodes0[i : i + k + 1]
+        reads = (constraint_gradients(system, window) != 0.0) & q_mask[i : i + k + 1]
+        moves = reads.any(axis=(1, 2))
+        keep[nq + i * m : nq + (i + 1) * m] = moves
+        for alpha in np.flatnonzero(~moves):
+            value = system.constraints[alpha].value(window)
+            if abs(value) > max(tol, 1e-9):
+                raise DimensionError(
+                    f"fixed nodes violate constraint {alpha} on window {i} ({value:.3e})"
+                )
 
     def embed(x_red):
         x_full = x0.copy()
@@ -386,17 +399,7 @@ def solve_masked(
     except NonConvergenceError as err:
         err.last_iterate = solution(embed(err.last_iterate))
         raise
-    x = embed(x_red)
-    path, mult = solution(x)
-    if not keep.all():
-        infeasible = float(np.max(np.abs(np.asarray(residual(x), dtype=float)[~keep])))
-        if infeasible > max(tol, 1e-9):
-            raise NonConvergenceError(
-                f"boundary data violates a fixed constraint window "
-                f"(residual {infeasible:.3e})",
-                last_iterate=(path, mult),
-                report=report,
-            )
+    path, mult = solution(embed(x_red))
     return path, mult, report
 
 
@@ -411,17 +414,12 @@ def solve_bvp(
 
     Unknowns are the interior nodes q_k..q_{N-k} that are not pinned and
     all multipliers; equations are the DEL residuals at those nodes and
-    the constraints on every window.  Pinned nodes are held fixed and
-    must satisfy every constraint.  The unknown nodes start from
-    guess_path when given, from the linear initial guess otherwise.
+    the constraints on every window.  Pinned nodes are fixed data, like
+    the boundary blocks.  The unknown nodes start from guess_path when
+    given, from the linear initial guess otherwise.
     """
     k, n = system.k, system.n
     N = boundary.checked(k, n).N
-    for i, point in boundary.pins.items():
-        constant = np.tile(point, (k + 1, 1))
-        for phi in system.constraints:
-            if abs(phi.value(constant)) > _PIN_TOL:
-                raise DimensionError(f"pinned point at index {i} violates a constraint")
     nodes0, q_mask = initial_guess(boundary)
     if guess_path is not None:
         if guess_path.nodes.shape != (N + 1, n):
@@ -456,19 +454,10 @@ def step(
 
     # Last factor through which each constraint sees a node: determines
     # which window's constraint equation involves the new point.
-    probe = nodes[k:]
-    jstar = []
-    for phi in system.constraints:
-        found = None
-        for j in range(k + 1, 0, -1):
-            if np.any(partial(phi, j, probe) != 0.0):
-                found = j
-                break
-        if found is None:
-            raise RegularityError(
-                "constraint depends on no window factor", condition=np.inf
-            )
-        jstar.append(found)
+    reads = constraint_gradients(system, nodes[k:]).any(axis=2)
+    if not reads.any(axis=1).all():
+        raise RegularityError("constraint depends on no window factor", condition=np.inf)
+    jstar = [int(np.flatnonzero(r)[-1]) + 1 for r in reads]
 
     def constraint_window(local, js):
         start = 2 * k - js + 1

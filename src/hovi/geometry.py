@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import ConstrainedSystem
-from .delsolve import StepState, node_gradient, step
+from .delsolve import StepState, constraint_gradients, node_gradient, step
 from .derivatives import FD_STEP, central_difference, partial
 from .errors import DimensionError, NumericError
 
@@ -120,16 +120,12 @@ class SymplecticityReport:
 def _constraint_jacobian(system, point):
     """Jacobian of the k window constraints over the extended coordinates."""
     k, n, m = system.k, system.n, system.m
-    rows = []
+    dim = 2 * k * n + k * m
+    jac = np.zeros((k, m, dim))
     for s in range(k):
-        window = point.configs[s : s + k + 1]
-        for phi in system.constraints:
-            row = np.zeros(2 * k * n + k * m)
-            for j in range(1, k + 2):
-                node = s + j - 1
-                row[node * n : (node + 1) * n] = partial(phi, j, window)
-            rows.append(row)
-    return np.array(rows)
+        grads = constraint_gradients(system, point.configs[s : s + k + 1])
+        jac[s, :, s * n : (s + k + 1) * n] = grads.reshape(m, (k + 1) * n)
+    return jac.reshape(k * m, dim)
 
 
 def check_symplecticity(

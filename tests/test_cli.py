@@ -1,5 +1,7 @@
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -230,6 +232,27 @@ def ocp_config(tmp_path, **overrides):
     return write_config(tmp_path / "ocp.json", cfg)
 
 
+def ocp_overrides(**params):
+    """Overrides that turn sphere_config into the ocp desk with these params."""
+    base = {"n": 2, "r": 1, "stiffness": [[1.0, 0.8], [0.8, 2.0]], "N": 12}
+    return {
+        "system": "ocp",
+        "params": dict(base, **params),
+        "boundary": {"head": [[0.0, 0.0], [0.01, 0.005]], "tail": [[0.05, 0.03], [0.055, 0.032]]},
+    }
+
+
+def beam_overrides(params, **boundary):
+    """Overrides that turn sphere_config into a short beam run."""
+    base = {
+        "head_times": [0.0, 1.0],
+        "head": [0.0, 0.015],
+        "tail_times": [9.0, 10.0],
+        "tail": [0.9, 1.0],
+    }
+    return {"system": "beam", "params": params, "boundary": dict(base, **boundary)}
+
+
 @pytest.mark.parametrize(
     "overrides",
     [
@@ -253,11 +276,18 @@ def ocp_config(tmp_path, **overrides):
             "params": {"k": 1, "n": 1, "N": 4, "break_partials": "no"},
             "boundary": {"head": [[0.0]], "tail": [[1.0]]},
         },
-        {
-            "system": "ocp",
-            "params": {"n": 2, "r": 1.5, "stiffness": [[1.0, 0.8], [0.8, 2.0]], "N": 12},
-            "boundary": {"head": [[0.0, 0.0], [0.01, 0.005]], "tail": [[0.05, 0.03], [0.055, 0.032]]},
-        },
+        ocp_overrides(r=1.5),
+        {"params": {"r": 1.0, "h": "0.1", "N": 8}},
+        {"params": {"r": True, "h": 0.1, "N": 8}},
+        {"params": {"r": 1.0, "h": float("inf"), "N": 8}},
+        {"pins": {"4": [float("nan"), 1.0, 0.0]}},
+        ocp_overrides(t0=True),
+        ocp_overrides(cost_weight="2"),
+        ocp_overrides(cost_weight=float("inf")),
+        ocp_overrides(stiffness=[[True, 0.8], [0.8, 2.0]]),
+        ocp_overrides(stiffness=[[1.0, "1"], [0.8, 2.0]]),
+        beam_overrides({"mu": ["1"], "N": 10}),
+        beam_overrides({"N": 10}, head_times=[False, 1.0]),
     ],
     ids=[
         "bad-number",
@@ -273,6 +303,17 @@ def ocp_config(tmp_path, **overrides):
         "fractional-seed",
         "string-break-partials",
         "fractional-r",
+        "string-h",
+        "boolean-r",
+        "infinite-h",
+        "nan-pin-point",
+        "boolean-t0",
+        "string-cost-weight",
+        "infinite-cost-weight",
+        "boolean-stiffness",
+        "string-stiffness",
+        "string-mu",
+        "boolean-head-time",
     ],
 )
 @pytest.mark.parametrize("command", ["run", "check"])
@@ -356,6 +397,18 @@ def test_run_failed_diagnostic_keeps_diagnostics_json(tmp_path):
     assert "momentum_drift" not in diag
 
 
+def test_run_boundary_off_the_sphere_exits_1(tmp_path, capsys):
+    # The constraint of window 1 reads only the head node q_1.
+    off = [(1.0 + 1e-5) * v for v in circle(1)]
+    path = sphere_config(
+        tmp_path, boundary={"head": [circle(0), off], "tail": [circle(7), circle(8)]}
+    )
+    out = tmp_path / "out"
+    assert cli.main(["run", path, "--out", str(out)]) == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not (out / "trajectory.csv").exists()
+
+
 def test_run_singular_jacobian_exits_3(tmp_path, capsys):
     path = write_config(
         tmp_path / "singular.json",
@@ -380,3 +433,12 @@ def test_run_ocp_writes_controls(tmp_path):
     diag = json.loads((out / "diagnostics.json").read_text())
     assert diag["converged"] is True
     assert len(diag["controls"]) == 11
+
+
+def test_readme_example_config_runs(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (block,) = re.findall(r"```json\n(.*?)```", readme, re.S)
+    path = write_config(tmp_path / "readme.json", json.loads(block))
+    out = tmp_path / "out"
+    assert cli.main(["run", path, "--out", str(out)]) == 0
+    assert json.loads((out / "diagnostics.json").read_text())["converged"] is True

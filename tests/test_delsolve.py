@@ -9,9 +9,11 @@ from hovi.core import (
     WindowFunction,
     discrete_action,
 )
+from hovi import delsolve
 from hovi.delsolve import (
     BoundaryData,
     StepState,
+    constraint_gradients,
     constraint_residual,
     del_residual,
     newton_solve,
@@ -19,6 +21,7 @@ from hovi.delsolve import (
     solve_bvp,
     step,
 )
+from hovi.derivatives import partial
 from hovi.errors import DimensionError, NonConvergenceError, RegularityError
 from hovi.applications import sphere_spline_system
 from hovi.geometry import theta_minus, theta_plus
@@ -176,6 +179,69 @@ def test_solve_bvp_sphere_stationarity_oracle():
     assert worst < 1e-6
 
 
+def count_jacobians(monkeypatch):
+    """Count the Newton Jacobians built while a test runs."""
+    calls = []
+
+    def counted(residual, x):
+        calls.append(x.size)
+        return fd_jacobian(residual, x)
+
+    fd_jacobian = delsolve._fd_jacobian
+    monkeypatch.setattr(delsolve, "_fd_jacobian", counted)
+    return calls
+
+
+def test_solve_bvp_builds_one_jacobian_per_iteration(monkeypatch):
+    calls = count_jacobians(monkeypatch)
+    system = sphere_spline_system(1.0, 0.1)
+    nodes = circle_nodes(range(9), theta=0.15)
+    _, _, report = solve_bvp(system, BoundaryData(nodes[:2], nodes[-2:], 8))
+    assert report.converged
+    assert report.iterations > 0
+    assert len(calls) == report.iterations
+
+
+def test_solve_bvp_rejects_fixed_nodes_off_a_constraint_before_newton(monkeypatch):
+    # The sphere constraint of windows 0 and 1 reads only the head nodes.
+    calls = count_jacobians(monkeypatch)
+    system = sphere_spline_system(1.0, 0.1)
+    nodes = circle_nodes(range(9), theta=0.15)
+    head = nodes[:2].copy()
+    head[1] *= 1.0 + 1e-5
+    with pytest.raises(DimensionError, match="window 1"):
+        solve_bvp(system, BoundaryData(head, nodes[-2:], 8))
+    assert calls == []
+
+
+def test_solve_bvp_pin_read_by_unknown_windows():
+    # Every window through the pinned node also holds an unknown node, so
+    # the pin is not checked on its own and the solve reproduces the path.
+    system = polynomial_system(1, 2, 1, seed=2)
+    head, tail = [[0.1, 0.0]], [[0.3, 0.2]]
+    free, _, report = solve_bvp(system, BoundaryData(head, tail, 6))
+    assert report.converged
+    pinned, _, report = solve_bvp(
+        system, BoundaryData(head, tail, 6, {3: free.nodes[3]})
+    )
+    assert report.converged
+    np.testing.assert_array_equal(pinned.nodes[3], free.nodes[3])
+    np.testing.assert_allclose(pinned.nodes, free.nodes, rtol=0, atol=1e-10)
+
+
+def test_constraint_gradients_match_partials():
+    for k, n, m in ((1, 2, 1), (2, 1, 2), (3, 2, 2)):
+        system = polynomial_system(k, n, m, seed=k + m, degree=4)
+        window = np.random.default_rng(k).normal(size=(k + 1, n))
+        grads = constraint_gradients(system, window)
+        assert grads.shape == (m, k + 1, n)
+        for alpha, phi in enumerate(system.constraints):
+            for j in range(1, k + 2):
+                np.testing.assert_array_equal(grads[alpha, j - 1], partial(phi, j, window))
+    unconstrained = second_difference_system(h=1.0, n=2)
+    assert constraint_gradients(unconstrained, np.ones((3, 2))).shape == (0, 3, 2)
+
+
 def test_newton_residual_history_decreases():
     system = sphere_spline_system(1.0, 0.1)
     nodes = circle_nodes(range(9))
@@ -277,6 +343,16 @@ def test_step_regularity_error_on_interior_constraint():
     with pytest.raises(RegularityError) as err:
         step(system, state)
     assert err.value.condition is not None
+
+
+def test_step_regularity_error_on_constraint_reading_no_factor():
+    base = second_difference_system(h=1.0)
+    zero = lambda w: np.zeros(1)
+    phi = WindowFunction(2, 1, lambda w: 0.0, (zero, zero, zero))
+    system = ConstrainedSystem(2, 1, base.lagrangian, (phi,))
+    state = StepState(np.array([[1.0], [1.1], [0.9], [1.05]]), np.zeros((2, 1)))
+    with pytest.raises(RegularityError, match="no window factor"):
+        step(system, state)
 
 
 def test_regularity_matrix_free_particle():
