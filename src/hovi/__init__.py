@@ -30,8 +30,6 @@ from .geometry import (
     GroupAction,
     check_momentum_conservation,
     check_symplecticity,
-    legendre_minus,
-    legendre_plus,
     momentum,
     omega_matrix,
     rotation_action,

@@ -245,7 +245,7 @@ def _validate_sphere(cfg: dict):
     pins = cfg.get("pins", {})
     if not isinstance(pins, dict):
         raise ConfigError("pins must be a JSON object")
-    pins = {i: _real(point, f"pins.{i}", (3,)) for i, point in pins.items()}
+    pins = {int(i): _real(point, f"pins.{i}", (3,)) for i, point in pins.items()}
     return sphere_spline_system(r, h), BoundaryData(head, tail, N, pins), r, h
 
 

@@ -31,9 +31,9 @@ _JAC_STEP = 1e-7
 class BoundaryData:
     """Fixed head nodes q_0..q_{k-1}, tail nodes q_{N-k+1}..q_N, and pins.
 
-    ``pins`` maps interior node indices to points the solution must pass
-    through (Riemannian interpolation); empty for a plain boundary-value
-    problem.
+    ``pins`` maps integer interior node indices to points the solution
+    must pass through (Riemannian interpolation); empty for a plain
+    boundary-value problem.
     """
 
     head: np.ndarray
@@ -49,6 +49,9 @@ class BoundaryData:
         k = head.shape[0]
         if self.N <= 2 * k:
             raise DimensionError(f"need N > 2k, got N={self.N} with k={k}")
+        for i in self.pins:
+            if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+                raise DimensionError(f"pin index {i!r} is not an integer")
         pins = {int(i): np.asarray(q, dtype=float) for i, q in self.pins.items()}
         object.__setattr__(self, "head", head)
         object.__setattr__(self, "tail", tail)
@@ -428,29 +431,21 @@ def solve_bvp(
     return solve_masked(system, nodes0, q_mask, tol, max_iter)
 
 
-def step(
-    system: ConstrainedSystem,
-    state: StepState,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-):
-    """Advance the one-step map by one node.
+def _step_equations(system: ConstrainedSystem, state: StepState):
+    """The one-step map's equations residual(x) = 0 from state, and a guess x0.
 
-    Solves n+m equations for the new node and multiplier: the DEL
-    residual at the centre node of the extended 2k+1 window, plus one
-    constraint equation per constraint function, imposed through the
-    last window factor that constraint actually depends on (so the
-    equation genuinely pins the new node).  For constraints depending on
-    their final factor this is the constraint on the final window; for
-    first-node constraints it is the constraint evaluated at the new
-    node, as in the sphere-spline equations.
+    x is the new node and its multiplier vector.  The residual stacks the
+    DEL residual at the centre node of the extended 2k+1 window and, per
+    constraint, that constraint through the last window factor it reads,
+    so the equation pins the new node: on the final window for a
+    constraint on its last factor, at the new node alone for a first-node
+    constraint such as the sphere's.  x0 extrapolates the last two nodes.
     """
     k, n, m = system.k, system.n, system.m
     state.checked(system)
     nodes = np.zeros((2 * k + 1, n))
     nodes[: 2 * k] = state.configs
     nodes[2 * k] = 2.0 * state.configs[-1] - state.configs[-2]
-    lam_guess = state.multipliers[-1]
 
     # Last factor through which each constraint sees a node: determines
     # which window's constraint equation involves the new point.
@@ -479,12 +474,19 @@ def step(
         )
         return np.concatenate([r, c])
 
-    x0 = np.concatenate([nodes[2 * k], lam_guess])
-    try:
-        x, report = newton_solve(residual, x0, tol=tol, max_iter=max_iter)
-    except NonConvergenceError as err:
-        err.last_iterate = err.last_iterate.copy()
-        raise
+    return residual, np.concatenate([nodes[2 * k], state.multipliers[-1]])
+
+
+def step(
+    system: ConstrainedSystem,
+    state: StepState,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+):
+    """Advance the one-step map by one node: solve _step_equations, then shift."""
+    n, m = system.n, system.m
+    residual, x0 = _step_equations(system, state)
+    x, report = newton_solve(residual, x0, tol=tol, max_iter=max_iter)
     new_configs = np.vstack([state.configs[1:], x[:n].reshape(1, n)])
     new_mult = np.vstack([state.multipliers[1:], x[n:].reshape(1, m)])
     return StepState(new_configs, new_mult), report

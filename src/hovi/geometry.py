@@ -3,8 +3,8 @@
 The boundary one-forms of the augmented discrete action live on a
 2k-node window together with its k multiplier vectors.  The two-form is
 always obtained numerically as minus the exterior derivative of the
-minus one-form; symplecticity of the one-step map is checked against a
-finite-difference Jacobian of the map.
+minus one-form; symplecticity of the one-step map is checked against
+its Jacobian from the step equations (implicit function theorem).
 """
 from __future__ import annotations
 
@@ -14,13 +14,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import ConstrainedSystem
-from .delsolve import StepState, constraint_gradients, node_gradient, step
+from .delsolve import StepState, _step_equations, constraint_gradients, node_gradient, step
+# partial is not called here; perfbench/tracing.py wraps it under this name.
 from .derivatives import FD_STEP, central_difference, partial
-from .errors import DimensionError, NumericError
-
-# Relative step of the step-map Jacobian.  Each map value is a Newton
-# solve, accurate only to its tolerance, so the step is larger than FD_STEP.
-_STEP_MAP_STEP = 1e-5
+from .errors import DimensionError, NumericError, RegularityError
 
 
 @dataclass(frozen=True)
@@ -128,28 +125,51 @@ def _constraint_jacobian(system, point):
     return jac.reshape(k * m, dim)
 
 
+def _step_map_jacobian(system, state, next_state):
+    """Jacobian of the one-step map at state, next_state being its image.
+
+    The new node and multiplier x solve G(x; z) = 0, the step equations
+    of the state with coordinates z, so dx/dz = -G_x^{-1} G_z with both
+    partials by central differencing (step FD_STEP) at the solved point.
+    The other rows shift the state by one node, in flatten order.
+    """
+    k, n, m = system.k, system.n, system.m
+    z = state.flatten()
+    x = np.concatenate([next_state.configs[-1], next_state.multipliers[-1]])
+
+    def equations(w):  # G(.; w), the step equations of the state with coordinates w
+        return _step_equations(system, StepState.unflatten(w, k, n, m))[0]
+
+    g_x = central_difference(equations(z), x, FD_STEP)
+    g_z = central_difference(lambda w: equations(w)(x), z, FD_STEP)
+    try:
+        dx_dz = -np.linalg.solve(g_x, g_z)
+    except np.linalg.LinAlgError:
+        raise RegularityError("singular step equations at the solved point", condition=np.inf)
+    nq, dim = 2 * k * n, z.size
+    jac = np.zeros((dim, dim))
+    jac[np.r_[: nq - n, nq : dim - m], np.r_[n:nq, nq + m : dim]] = 1.0
+    jac[np.r_[nq - n : nq, dim - m : dim]] = dx_dz
+    return jac
+
+
 def check_symplecticity(
     system: ConstrainedSystem, state: StepState, tol: float = 1e-12
 ) -> SymplecticityReport:
     """Defect of the pullback of the two-form under the one-step map.
 
-    Unconstrained: || A^T Omega(next) A - Omega(state) ||_F with A the
-    central-difference Jacobian of the step map (step _STEP_MAP_STEP).
-    Constrained: the same defect restricted to a numerical kernel basis
-    of the constraint Jacobian (tangent space of the constraint set).
+    Runs one step (to tol) and takes the map's Jacobian A from the step
+    equations at the solved point (_step_map_jacobian).  Unconstrained:
+    || A^T Omega(next) A - Omega(state) ||_F.  Constrained: the same
+    defect restricted to a numerical kernel basis of the constraint
+    Jacobian (tangent space of the constraint set).
     """
-    k, n, m = system.k, system.n, system.m
-
-    def step_map(z):
-        nxt, _ = step(system, StepState.unflatten(z, k, n, m), tol=tol)
-        return nxt.flatten()
-
-    jac = central_difference(step_map, state.flatten(), _STEP_MAP_STEP)
     next_state, _ = step(system, state, tol=tol)
+    jac = _step_map_jacobian(system, state, next_state)
     omega_here = omega_matrix(system, state)
     omega_next = omega_matrix(system, next_state)
 
-    if m == 0:
+    if system.m == 0:
         defect = jac.T @ omega_next @ jac - omega_here
         return SymplecticityReport(float(np.linalg.norm(defect)), restricted=False)
 
@@ -160,24 +180,6 @@ def check_symplecticity(
     av = jac @ basis
     defect = av.T @ omega_next @ av - basis.T @ omega_here @ basis
     return SymplecticityReport(float(np.linalg.norm(defect)), restricted=True)
-
-
-def legendre_minus(system: ConstrainedSystem, q0, q1):
-    """Discrete Legendre transform at the left endpoint (k = 1 only)."""
-    if system.k != 1:
-        raise DimensionError("discrete Legendre transforms require k = 1")
-    window = np.vstack([np.atleast_1d(q0), np.atleast_1d(q1)])
-    p0 = -partial(system.lagrangian, 1, window)
-    return np.atleast_1d(np.asarray(q0, dtype=float)), p0
-
-
-def legendre_plus(system: ConstrainedSystem, q0, q1):
-    """Discrete Legendre transform at the right endpoint (k = 1 only)."""
-    if system.k != 1:
-        raise DimensionError("discrete Legendre transforms require k = 1")
-    window = np.vstack([np.atleast_1d(q0), np.atleast_1d(q1)])
-    p1 = partial(system.lagrangian, 2, window)
-    return np.atleast_1d(np.asarray(q1, dtype=float)), p1
 
 
 def momentum(
@@ -211,8 +213,5 @@ def check_momentum_conservation(
     trajectory: Sequence[StepState],
 ) -> float:
     """Max consecutive change of the plus momentum map along a trajectory."""
-    values = [momentum(system, action, st, side="plus") for st in trajectory]
-    drift = 0.0
-    for prev, cur in zip(values, values[1:]):
-        drift = max(drift, float(np.max(np.abs(cur - prev))))
-    return drift
+    values = np.array([momentum(system, action, st, side="plus") for st in trajectory])
+    return float(np.max(np.abs(np.diff(values, axis=0)), initial=0.0))

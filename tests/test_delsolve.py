@@ -109,6 +109,22 @@ def test_boundary_data_validation():
         BoundaryData(np.zeros((2, 1)), np.zeros((1, 1)), 8)
 
 
+@pytest.mark.parametrize(
+    "index", [4.7, 4.0, True, np.True_, "4"], ids=["4.7", "4.0", "True", "np.True_", "'4'"]
+)
+def test_boundary_data_rejects_non_integer_pin_index(index):
+    head, tail, point = np.zeros((2, 1)), np.ones((2, 1)), np.array([0.5])
+    with pytest.raises(DimensionError, match="not an integer"):
+        BoundaryData(head, tail, 8, {index: point})
+
+
+def test_boundary_data_accepts_numpy_integer_pin_index():
+    head, tail, point = np.zeros((2, 1)), np.ones((2, 1)), np.array([0.5])
+    boundary = BoundaryData(head, tail, 8, {np.int64(4): point})
+    assert list(boundary.pins) == [4]
+    assert type(next(iter(boundary.pins))) is int
+
+
 def test_solve_bvp_cubic_exactness():
     system = second_difference_system(h=1.0)
     cubic = lambda t: 2.0 - t + 0.5 * t ** 3

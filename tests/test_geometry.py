@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
+from hovi import geometry
 from hovi.core import ConstrainedSystem, WindowFunction
 from hovi.delsolve import StepState, step
-from hovi.errors import DimensionError
+from hovi.derivatives import central_difference
+from hovi.errors import DimensionError, RegularityError
 from hovi.geometry import (
     GroupAction,
     check_momentum_conservation,
     check_symplecticity,
-    legendre_minus,
-    legendre_plus,
     momentum,
     omega_matrix,
     rotation_action,
@@ -107,21 +107,22 @@ def test_omega_from_minus_and_plus_agree():
     np.testing.assert_allclose(om_minus, om_plus, atol=1e-5)
 
 
+def k1_state(q0, q1):
+    return StepState(np.array([q0, q1], dtype=float), np.zeros((1, 0)))
+
+
 def test_legendre_transforms():
+    # At k = 1, m = 0 the one-forms are the discrete Legendre transforms:
+    # theta_minus = (p0, 0) with p0 = -D_1 L, theta_plus = (0, p1), p1 = D_2 L.
     system = free_particle(h=1.0)
-    q0, p0 = legendre_minus(system, [0.0], [1.0])
-    q1, p1 = legendre_plus(system, [0.0], [1.0])
-    np.testing.assert_allclose(p0, [1.0], atol=1e-12)
-    np.testing.assert_allclose(p1, [1.0], atol=1e-12)
-    np.testing.assert_allclose(q0, [0.0])
-    np.testing.assert_allclose(q1, [1.0])
+    th_minus = theta_minus(system, k1_state([0.0], [1.0]))
+    th_plus = theta_plus(system, k1_state([0.0], [1.0]))
+    np.testing.assert_allclose(th_minus[:1], [1.0], atol=1e-12)
+    np.testing.assert_allclose(th_plus[1:], [1.0], atol=1e-12)
 
     zs = ConstrainedSystem(1, 1, WindowFunction(1, 1, lambda w: 0.0), ())
-    _, pz = legendre_minus(zs, [0.4], [0.9])
+    pz = theta_minus(zs, k1_state([0.4], [0.9]))[:1]
     np.testing.assert_allclose(pz, [0.0], atol=1e-9)
-
-    with pytest.raises(DimensionError):
-        legendre_minus(second_difference_system(), [0.0], [1.0])
 
 
 def test_legendre_momentum_matching_on_solution():
@@ -130,8 +131,8 @@ def test_legendre_momentum_matching_on_solution():
     system = free_particle(h=0.5)
     path = (0.3 + 1.2 * np.arange(5.0))[:, None]
     for j in range(1, 4):
-        _, p_plus = legendre_plus(system, path[j - 1], path[j])
-        _, p_minus = legendre_minus(system, path[j], path[j + 1])
+        p_plus = theta_plus(system, k1_state(path[j - 1], path[j]))[1:]
+        p_minus = theta_minus(system, k1_state(path[j], path[j + 1]))[:1]
         np.testing.assert_allclose(p_plus, p_minus, atol=1e-12)
 
 
@@ -177,6 +178,68 @@ def test_symplecticity_free_particle():
     report = check_symplecticity(system, state)
     assert not report.restricted
     assert report.defect_norm < 1e-8
+
+
+def test_check_symplecticity_runs_one_step(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "step", counted)
+    system = sphere_spline_system(1.0, 0.1)
+    check_symplecticity(system, great_circle_state(1.0, 0.1))
+    assert len(calls) == 1
+
+
+def test_check_symplecticity_singular_step_equations():
+    # The zero Lagrangian's step equations vanish for every new node: the
+    # guess solves them without a Newton iteration, but they define no map.
+    state = StepState(np.arange(4.0)[:, None], np.zeros((2, 0)))
+    with pytest.raises(RegularityError, match="singular step equations"):
+        check_symplecticity(zero_system(), state)
+
+
+def reference_step_map_jacobian(system, state):
+    """The step map differenced directly, each value a Newton solve (step 1e-5)."""
+    k, n, m = system.k, system.n, system.m
+
+    def step_map(z):
+        nxt, _ = step(system, StepState.unflatten(z, k, n, m), tol=1e-12)
+        return nxt.flatten()
+
+    return central_difference(step_map, state.flatten(), 1e-5)
+
+
+@pytest.mark.parametrize(
+    "system, state",
+    [
+        (sphere_spline_system(1.0, 0.1), great_circle_state(1.0, 0.1)),
+        (sphere_spline_system(1.0, 0.2), great_circle_state(1.0, 0.2)),
+        (
+            second_difference_system(h=0.7, n=2),
+            StepState(np.random.default_rng(5).normal(size=(4, 2)), np.zeros((2, 0))),
+        ),
+    ],
+    ids=["sphere-h0.1", "sphere-h0.2", "second-difference-n2"],
+)
+def test_step_map_jacobian_matches_differenced_step(system, state):
+    next_state, _ = step(system, state, tol=1e-12)
+    jac = geometry._step_map_jacobian(system, state, next_state)
+    ref = reference_step_map_jacobian(system, state)
+    assert np.max(np.abs(jac - ref)) <= 1e-8 * np.max(np.abs(jac))
+
+
+def test_sphere_restricted_defect_at_small_step():
+    system = sphere_spline_system(1.0, 0.05)
+    states = [great_circle_state(1.0, 0.05)]
+    for _ in range(20):
+        states.append(step(system, states[-1])[0])
+    for i in (0, 10, 20):
+        report = check_symplecticity(system, states[i])
+        assert report.restricted
+        assert report.defect_norm < 1e-5, (i, report.defect_norm)
 
 
 def test_group_action_shapes():
