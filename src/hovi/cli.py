@@ -15,6 +15,7 @@ import argparse
 import json
 import logging
 import os
+import re
 import sys
 from typing import Optional
 
@@ -245,6 +246,9 @@ def _validate_sphere(cfg: dict):
     pins = cfg.get("pins", {})
     if not isinstance(pins, dict):
         raise ConfigError("pins must be a JSON object")
+    for i in pins:
+        if not re.fullmatch("[0-9]+", i):
+            raise ConfigError(f"pin index must be plain decimal digits, got {i!r}")
     pins = {int(i): _real(point, f"pins.{i}", (3,)) for i, point in pins.items()}
     return sphere_spline_system(r, h), BoundaryData(head, tail, N, pins), r, h
 

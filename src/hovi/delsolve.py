@@ -217,11 +217,13 @@ def regularity_matrix(system: ConstrainedSystem, window, lam) -> np.ndarray:
     return np.block([[top_left, grads[:, k].T], [grads[:, 0], np.zeros((m, m))]])
 
 
-def newton_solve(residual, x0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+def newton_solve(residual, x0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, pattern=None):
     """Damped Newton on a square nonlinear system.
 
     Every accepted iterate passes a sufficient-decrease test on the
-    max-norm of the residual.  Raises RegularityError on a
+    max-norm of the residual.  pattern, when given, is the boolean
+    sparsity pattern of the Jacobian, which is then differenced by column
+    groups (see central_difference).  Raises RegularityError on a
     singular/ill-conditioned Jacobian, and NonConvergenceError (carrying
     the last accepted iterate) when the line search finds no decrease or
     at the iteration cap.
@@ -241,17 +243,9 @@ def newton_solve(residual, x0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
         if fnorm <= tol:
             report.converged = True
             return x, report
-        jac = _fd_jacobian(residual, x)
-        if not np.all(np.isfinite(jac)):
-            raise NumericError("non-finite entries in Newton Jacobian")
-        u, sv, vt = np.linalg.svd(jac)
-        cond = float(sv[0]) / float(sv[-1]) if sv[-1] > 0.0 else np.inf
-        report.jacobian_condition_estimate = cond
-        if cond > _COND_LIMIT:
-            raise RegularityError(
-                f"singular Newton Jacobian (condition estimate {cond:.3e})",
-                condition=cond,
-            )
+        u, sv, vt, report.jacobian_condition_estimate = _regular_svd(
+            _fd_jacobian(residual, x, pattern)
+        )
         utf = u.T @ f
 
         # Damped Newton with a Levenberg-Marquardt ladder.  Each rung
@@ -296,8 +290,25 @@ def newton_solve(residual, x0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     )
 
 
-def _fd_jacobian(residual, x):
-    return central_difference(residual, x, _JAC_STEP)
+def _fd_jacobian(residual, x, pattern=None):
+    return central_difference(residual, x, _JAC_STEP, pattern)
+
+
+def _regular_svd(jac, what="Newton Jacobian"):
+    """SVD of jac, the Jacobian that what names, and its condition sv[0] / sv[-1].
+
+    Raises RegularityError when the estimate exceeds _COND_LIMIT.
+    """
+    if not np.all(np.isfinite(jac)):
+        raise NumericError(f"non-finite entries in {what}")
+    u, sv, vt = np.linalg.svd(jac)
+    cond = float(sv[0]) / float(sv[-1]) if sv[-1] > 0.0 else np.inf
+    if cond > _COND_LIMIT:
+        raise RegularityError(
+            f"singular {what} (condition estimate {cond:.3e})",
+            condition=cond,
+        )
+    return u, sv, vt, cond
 
 
 def initial_guess(boundary: BoundaryData):
@@ -384,6 +395,19 @@ def solve_masked(
                     f"fixed nodes violate constraint {alpha} on window {i} ({value:.3e})"
                 )
 
+    # The structure of the Newton system, rows laid out like the unknowns:
+    # node p's DEL row reads nodes p-k..p+k and the multipliers of windows
+    # p-k..p; the constraint rows of window i read nodes i..i+k.
+    node = np.nonzero(q_mask)[0]
+    lag = node[:, None] - np.repeat(np.arange(nwin), m)[None, :]
+    in_window = (lag >= 0) & (lag <= k)
+    pattern = np.block(
+        [
+            [np.abs(node[:, None] - node[None, :]) <= k, in_window],
+            [in_window.T, np.zeros((nwin * m, nwin * m), dtype=bool)],
+        ]
+    )[np.ix_(keep, keep)]
+
     def embed(x_red):
         x_full = x0.copy()
         x_full[keep] = x_red
@@ -398,7 +422,9 @@ def solve_masked(
         return DiscretePath(nodes), MultiplierSequence(x_full[nq:].reshape(nwin, m))
 
     try:
-        x_red, report = newton_solve(reduced, x0[keep], tol=tol, max_iter=max_iter)
+        x_red, report = newton_solve(
+            reduced, x0[keep], tol=tol, max_iter=max_iter, pattern=pattern
+        )
     except NonConvergenceError as err:
         err.last_iterate = solution(embed(err.last_iterate))
         raise
@@ -483,10 +509,17 @@ def step(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ):
-    """Advance the one-step map by one node: solve _step_equations, then shift."""
+    """Advance the one-step map by one node: solve _step_equations, then shift.
+
+    A guess that already solves the equations is accepted only where
+    their Jacobian is regular, as every Newton iterate is.
+    """
     n, m = system.n, system.m
     residual, x0 = _step_equations(system, state)
     x, report = newton_solve(residual, x0, tol=tol, max_iter=max_iter)
+    if report.iterations == 0:
+        jac = _fd_jacobian(residual, x)
+        report.jacobian_condition_estimate = _regular_svd(jac, "step equations at the guess")[3]
     new_configs = np.vstack([state.configs[1:], x[:n].reshape(1, n)])
     new_mult = np.vstack([state.multipliers[1:], x[n:].reshape(1, m)])
     return StepState(new_configs, new_mult), report

@@ -20,26 +20,55 @@ def _check_factor(f: WindowFunction, j: int) -> None:
         raise DimensionError(f"factor index {j} out of range 1..{f.k + 1}")
 
 
-def central_difference(fn, x, step: float) -> np.ndarray:
+def central_difference(fn, x, step: float, pattern=None) -> np.ndarray:
     """Central-difference Jacobian of fn at the non-empty 1-D point x.
 
     fn returns a float or a 1-D array.  Column a is
     (fn(x + h_a e_a) - fn(x - h_a e_a)) / (2 h_a) with the relative step
     h_a = step * max(1, |x_a|); a scalar fn gives one row.
+
+    pattern, a boolean (rows, columns) array, marks the entries that may
+    be nonzero.  Columns that share no marked row are then perturbed
+    together, each by its own h_a, and each keeps only its marked rows
+    (Curtis, Powell & Reid 1974).  When every row reads only the columns
+    marked in it, the result equals the column-by-column one bit for bit.
     """
     x = np.asarray(x, dtype=float)
+    h = step * np.maximum(1.0, np.abs(x))
+    groups = range(x.size) if pattern is None else _column_groups(pattern)
     jac = None
-    for a in range(x.size):
-        h = step * max(1.0, abs(x[a]))
+    for group in groups:
         xp = x.copy()
         xm = x.copy()
-        xp[a] += h
-        xm[a] -= h
-        col = (fn(xp) - fn(xm)) / (2.0 * h)
+        xp[group] += h[group]
+        xm[group] -= h[group]
+        diff = fn(xp) - fn(xm)
         if jac is None:
-            jac = np.empty((np.size(col), x.size))
-        jac[:, a] = col
+            jac = np.zeros((np.size(diff), x.size))
+        if pattern is None:
+            jac[:, group] = diff / (2.0 * h[group])
+        else:
+            for a in group:
+                rows = pattern[:, a]
+                jac[rows, a] = diff[rows] / (2.0 * h[a])
     return jac
+
+
+def _column_groups(pattern) -> list:
+    """Greedy partition of the pattern's columns into groups sharing no row.
+
+    Column a joins the first group none of whose rows it marks.
+    """
+    taken = np.zeros((pattern.shape[1], pattern.shape[0]), dtype=bool)
+    groups = []
+    for a in range(pattern.shape[1]):
+        rows = pattern[:, a]
+        c = int(np.argmin(taken[: len(groups) + 1, rows].any(axis=1)))
+        if c == len(groups):
+            groups.append([])
+        groups[c].append(a)
+        taken[c, rows] = True
+    return groups
 
 
 def _with_factor(w: np.ndarray, j: int, row: np.ndarray) -> np.ndarray:

@@ -258,6 +258,9 @@ def beam_overrides(params, **boundary):
     [
         {"params": {"r": "abc", "h": 0.1, "N": 8}},
         {"pins": {"x": circle(4)}},
+        {"pins": {"4_0": circle(4)}},
+        {"pins": {" 4": circle(4)}},
+        {"pins": {"+4": circle(4)}},
         {"solver": {"tol": "x"}},
         {"solver": {"tol": float("inf")}},
         {"solver": {"tol": float("nan")}},
@@ -292,6 +295,9 @@ def beam_overrides(params, **boundary):
     ids=[
         "bad-number",
         "bad-pin-index",
+        "underscore-pin-index",
+        "spaced-pin-index",
+        "signed-pin-index",
         "bad-solver-tol",
         "infinite-solver-tol",
         "nan-solver-tol",

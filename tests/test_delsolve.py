@@ -23,10 +23,11 @@ from hovi.delsolve import (
 )
 from hovi.derivatives import partial
 from hovi.errors import DimensionError, NonConvergenceError, RegularityError
-from hovi.applications import sphere_spline_system
+from hovi.applications import beam_system, solve_ocp, sphere_spline_system
 from hovi.geometry import theta_minus, theta_plus
+from hovi.timedep import TimedPath, solve_free_times
 
-from util_systems import free_particle, second_difference_system
+from util_systems import desk_ocp, free_particle, second_difference_system
 
 
 def circle_nodes(indices, theta=0.3):
@@ -199,9 +200,9 @@ def count_jacobians(monkeypatch):
     """Count the Newton Jacobians built while a test runs."""
     calls = []
 
-    def counted(residual, x):
+    def counted(residual, x, *args):
         calls.append(x.size)
-        return fd_jacobian(residual, x)
+        return fd_jacobian(residual, x, *args)
 
     fd_jacobian = delsolve._fd_jacobian
     monkeypatch.setattr(delsolve, "_fd_jacobian", counted)
@@ -216,6 +217,98 @@ def test_solve_bvp_builds_one_jacobian_per_iteration(monkeypatch):
     assert report.converged
     assert report.iterations > 0
     assert len(calls) == report.iterations
+
+
+def dense_checked_jacobians(monkeypatch):
+    """Check every Newton Jacobian built while a test runs against the dense build.
+
+    The colored build from solve_masked's pattern must equal the
+    column-by-column one bit for bit.  Returns the unknown counts built.
+    """
+    sizes = []
+
+    def checked(residual, x, pattern=None):
+        assert pattern is not None and pattern.shape == (x.size, x.size)
+        colored = fd_jacobian(residual, x, pattern)
+        assert np.array_equal(colored, fd_jacobian(residual, x))
+        sizes.append(x.size)
+        return colored
+
+    fd_jacobian = delsolve._fd_jacobian
+    monkeypatch.setattr(delsolve, "_fd_jacobian", checked)
+    return sizes
+
+
+@pytest.mark.parametrize("pins", [{}, {5: circle_nodes([5], theta=0.15)[0]}])
+def test_colored_jacobian_equals_dense_sphere(monkeypatch, pins):
+    sizes = dense_checked_jacobians(monkeypatch)
+    nodes = circle_nodes(range(11), theta=0.15)
+    boundary = BoundaryData(nodes[:2], nodes[-2:], 10, pins)
+    _, _, report = solve_bvp(sphere_spline_system(1.0, 0.1), boundary)
+    assert report.converged
+    assert len(sizes) == report.iterations > 0
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_colored_jacobian_equals_dense_polynomial(monkeypatch, k, m):
+    sizes = dense_checked_jacobians(monkeypatch)
+    system = polynomial_system(k, 2, m, seed=10 * k + m, degree=4)
+    rng = np.random.default_rng(k + m)
+    boundary = BoundaryData(rng.normal(size=(k, 2)), rng.normal(size=(k, 2)), 2 * k + 3)
+    try:
+        solve_bvp(system, boundary, max_iter=3)
+    except (NonConvergenceError, RegularityError):
+        pass
+    assert sizes
+
+
+def test_colored_jacobian_equals_dense_free_time_beam(monkeypatch):
+    # The warm stage holds the time column fixed; the full stage frees it.
+    sizes = dense_checked_jacobians(monkeypatch)
+    system = beam_system(lambda t: 1.0, lambda t: 0.0, lambda t: 0.0, lambda t: 0.0)
+    q = lambda t: 0.01 * t * t + 0.005 * t
+    head = TimedPath([0.0, 1.0], [q(0.0), q(1.0)])
+    tail = TimedPath([9.0, 10.0], [q(9.0) + 0.01, q(10.0)])
+    _, report = solve_free_times(system, head, tail, 10, tol=1e-9)
+    assert report.converged
+    assert sorted(set(sizes)) == [7, 14]
+
+
+def test_colored_jacobian_equals_dense_ocp(monkeypatch):
+    sizes = dense_checked_jacobians(monkeypatch)
+    _, _, report = solve_ocp(*desk_ocp(), tol=1e-10)
+    assert report.converged
+    assert len(sizes) == report.iterations > 0
+
+
+class _FirstBuildDone(Exception):
+    pass
+
+
+def test_colored_jacobian_evaluations_do_not_grow_with_N(monkeypatch):
+    evals = []
+
+    def first_build(residual, x, pattern=None):
+        count = []
+
+        def counted(y):
+            count.append(1)
+            return residual(y)
+
+        fd_jacobian(counted, x, pattern)
+        evals.append((len(count), x.size))
+        raise _FirstBuildDone
+
+    fd_jacobian = delsolve._fd_jacobian
+    monkeypatch.setattr(delsolve, "_fd_jacobian", first_build)
+    for N in (20, 40, 80):
+        nodes = circle_nodes(range(N + 1), theta=1.2 / N)
+        with pytest.raises(_FirstBuildDone):
+            solve_bvp(sphere_spline_system(1.0, 0.1), BoundaryData(nodes[:2], nodes[-2:], N))
+    counts = [c for c, _ in evals]
+    assert counts[0] == counts[1] == counts[2]
+    assert counts[0] < 2 * evals[0][1]
 
 
 def test_solve_bvp_rejects_fixed_nodes_off_a_constraint_before_newton(monkeypatch):
@@ -327,6 +420,25 @@ def test_step_continues_cubic():
     nxt, report = step(system, state)
     assert report.converged
     assert nxt.configs[-1, 0] == pytest.approx(64.0, abs=1e-10)
+
+
+def test_step_rejects_singular_equations_solved_by_the_guess():
+    # The zero Lagrangian's step equations vanish for every new node, so
+    # the guess meets tol at iteration 0; they still define no map.
+    zero = ConstrainedSystem(2, 1, WindowFunction(2, 1, lambda w: 0.0), ())
+    state = StepState(np.arange(4.0)[:, None], np.zeros((2, 0)))
+    with pytest.raises(RegularityError, match="singular step equations") as err:
+        step(zero, state)
+    assert err.value.condition == np.inf
+
+
+def test_step_accepts_regular_equations_solved_by_the_guess():
+    # A straight line continues exactly along the extrapolated guess.
+    state = StepState(np.arange(4.0)[:, None], np.zeros((2, 0)))
+    nxt, report = step(second_difference_system(h=1.0), state)
+    assert report.iterations == 0
+    assert np.isfinite(report.jacobian_condition_estimate)
+    assert nxt.configs[-1, 0] == 4.0
 
 
 def test_step_matches_bvp():

@@ -89,6 +89,23 @@ def test_central_difference_scalar_fn_is_one_row():
     np.testing.assert_allclose(jac[0], 2.0 * x, rtol=1e-8)
 
 
+def test_central_difference_pattern_groups_columns():
+    # Row i reads y[i-1], y[i], y[i+1]: three groups for any length.
+    def fn(y):
+        calls.append(1)
+        out = y ** 3
+        out[1:] += np.sin(y[:-1])
+        out[:-1] += y[:-1] * y[1:]
+        return out
+
+    x = np.random.default_rng(3).normal(size=12)
+    pattern = np.abs(np.subtract.outer(np.arange(12), np.arange(12))) <= 1
+    calls = []
+    colored = central_difference(fn, x, 1e-6, pattern)
+    assert len(calls) == 6
+    assert np.array_equal(colored, central_difference(fn, x, 1e-6))
+
+
 def test_cross_partial_product():
     f = product_function()
     w = np.array([[2.0], [5.0]])
