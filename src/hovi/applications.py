@@ -2,6 +2,7 @@
 the underactuated optimal-control reduction."""
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -101,7 +102,16 @@ def beam_system(
     nodes feeding the coefficient functions.  When the coefficient
     derivatives are supplied the system carries analytic gradients,
     which free-time solves need for deep convergence.
+
+    The coefficients are treated as pure functions of the midpoint time:
+    each remembers its values at the last 8 midpoint times, so the value
+    and the partials of one window, which a residual sweep asks for within
+    the next k nodes, call each coefficient once.
     """
+    cached = functools.lru_cache(maxsize=8)
+    mu, rho = cached(mu), cached(rho)
+    if dmu is not None and drho is not None:
+        dmu, drho = cached(dmu), cached(drho)
 
     def pieces(ts, qs):
         tbar = (ts[0] + ts[1] + ts[2]) / 3.0

@@ -95,7 +95,7 @@ class DiscretePath:
             nodes = nodes[:, None]
         if nodes.ndim != 2:
             raise DimensionError(f"path nodes must be 2-D, got shape {nodes.shape}")
-        if not np.all(np.isfinite(nodes)):
+        if not np.isfinite(nodes).all():
             raise DimensionError("path has non-finite entries")
         object.__setattr__(self, "nodes", nodes)
 

@@ -18,7 +18,7 @@ from .core import (
     MultiplierSequence,
     as_window,
 )
-from .derivatives import central_difference, cross_partial, partial
+from .derivatives import _column_groups, central_difference, cross_partial, partial
 from .errors import DimensionError, NonConvergenceError, NumericError, RegularityError
 
 DEFAULT_TOL = 1e-10
@@ -99,7 +99,7 @@ class StepState:
             raise DimensionError(
                 f"expected {configs.shape[0] // 2} multiplier rows, got {mult.shape[0]}"
             )
-        if not (np.all(np.isfinite(configs)) and np.all(np.isfinite(mult))):
+        if not (np.isfinite(configs).all() and np.isfinite(mult).all()):
             raise DimensionError("step state has non-finite entries")
         object.__setattr__(self, "configs", configs)
         object.__setattr__(self, "multipliers", mult)
@@ -222,11 +222,11 @@ def newton_solve(residual, x0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, patte
 
     Every accepted iterate passes a sufficient-decrease test on the
     max-norm of the residual.  pattern, when given, is the boolean
-    sparsity pattern of the Jacobian, which is then differenced by column
-    groups (see central_difference).  Raises RegularityError on a
-    singular/ill-conditioned Jacobian, and NonConvergenceError (carrying
-    the last accepted iterate) when the line search finds no decrease or
-    at the iteration cap.
+    sparsity pattern of the Jacobian, which is then colored once and
+    differenced by column groups (see central_difference).  Raises
+    RegularityError on a singular/ill-conditioned Jacobian, and
+    NonConvergenceError (carrying the last accepted iterate) when the line
+    search finds no decrease or at the iteration cap.
     """
     x = np.asarray(x0, dtype=float).copy()
     report = SolveReport()
@@ -238,13 +238,14 @@ def newton_solve(residual, x0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, patte
     fnorm = float(np.max(np.abs(f))) if f.size else 0.0
     report.residual_history.append(fnorm)
     report.final_residual_norm = fnorm
+    groups = None if pattern is None else _column_groups(pattern)
 
     for it in range(max_iter):
         if fnorm <= tol:
             report.converged = True
             return x, report
         u, sv, vt, report.jacobian_condition_estimate = _regular_svd(
-            _fd_jacobian(residual, x, pattern)
+            _fd_jacobian(residual, x, pattern, groups)
         )
         utf = u.T @ f
 
@@ -290,8 +291,8 @@ def newton_solve(residual, x0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, patte
     )
 
 
-def _fd_jacobian(residual, x, pattern=None):
-    return central_difference(residual, x, _JAC_STEP, pattern)
+def _fd_jacobian(residual, x, pattern=None, groups=None):
+    return central_difference(residual, x, _JAC_STEP, pattern, groups)
 
 
 def _regular_svd(jac, what="Newton Jacobian"):
@@ -299,7 +300,7 @@ def _regular_svd(jac, what="Newton Jacobian"):
 
     Raises RegularityError when the estimate exceeds _COND_LIMIT.
     """
-    if not np.all(np.isfinite(jac)):
+    if not np.isfinite(jac).all():
         raise NumericError(f"non-finite entries in {what}")
     u, sv, vt = np.linalg.svd(jac)
     cond = float(sv[0]) / float(sv[-1]) if sv[-1] > 0.0 else np.inf
@@ -479,25 +480,16 @@ def _step_equations(system: ConstrainedSystem, state: StepState):
     if not reads.any(axis=1).all():
         raise RegularityError("constraint depends on no window factor", condition=np.inf)
     jstar = [int(np.flatnonzero(r)[-1]) + 1 for r in reads]
-
-    def constraint_window(local, js):
-        start = 2 * k - js + 1
-        pad = start + k - 2 * k
-        if pad <= 0:
-            return local[start : start + k + 1]
-        return np.vstack([local[start:], np.tile(local[2 * k], (pad, 1))])
+    # Window rows of each constraint equation: factor js on the new node
+    # 2k, any later factors repeating it.
+    rows = [np.minimum(np.arange(2 * k - js + 1, 3 * k - js + 2), 2 * k) for js in jstar]
 
     def residual(x):
         local = nodes.copy()
         local[2 * k] = x[:n]
         lams = np.vstack([state.multipliers, x[n:].reshape(1, m)])
         r = node_gradient(system, local, lams, k)
-        c = np.array(
-            [
-                phi.value(constraint_window(local, js))
-                for phi, js in zip(system.constraints, jstar)
-            ]
-        )
+        c = np.array([phi.value(local[w]) for phi, w in zip(system.constraints, rows)])
         return np.concatenate([r, c])
 
     return residual, np.concatenate([nodes[2 * k], state.multipliers[-1]])

@@ -20,7 +20,7 @@ def _check_factor(f: WindowFunction, j: int) -> None:
         raise DimensionError(f"factor index {j} out of range 1..{f.k + 1}")
 
 
-def central_difference(fn, x, step: float, pattern=None) -> np.ndarray:
+def central_difference(fn, x, step: float, pattern=None, groups=None) -> np.ndarray:
     """Central-difference Jacobian of fn at the non-empty 1-D point x.
 
     fn returns a float or a 1-D array.  Column a is
@@ -32,10 +32,15 @@ def central_difference(fn, x, step: float, pattern=None) -> np.ndarray:
     together, each by its own h_a, and each keeps only its marked rows
     (Curtis, Powell & Reid 1974).  When every row reads only the columns
     marked in it, the result equals the column-by-column one bit for bit.
+    groups, the pattern's _column_groups, saves recoloring a pattern that
+    is differenced repeatedly.
     """
     x = np.asarray(x, dtype=float)
     h = step * np.maximum(1.0, np.abs(x))
-    groups = range(x.size) if pattern is None else _column_groups(pattern)
+    if pattern is None:
+        groups = range(x.size)
+    elif groups is None:
+        groups = _column_groups(pattern)
     jac = None
     for group in groups:
         xp = x.copy()
@@ -83,7 +88,7 @@ def partial_fd(f: WindowFunction, j: int, window) -> np.ndarray:
     _check_factor(f, j)
     w = as_window(window, f.k, f.n)
     grad = central_difference(lambda row: f.eval(_with_factor(w, j, row)), w[j - 1], FD_STEP)[0]
-    if not np.all(np.isfinite(grad)):
+    if not np.isfinite(grad).all():
         raise NumericError(f"non-finite finite-difference partial D_{j}")
     return grad
 
@@ -96,7 +101,7 @@ def partial(f: WindowFunction, j: int, window) -> np.ndarray:
         g = np.atleast_1d(np.asarray(f.partials[j - 1](w), dtype=float))
         if g.shape != (f.n,):
             raise DimensionError(f"analytic partial D_{j} has shape {g.shape}")
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NumericError(f"non-finite analytic partial D_{j}")
         return g
     return partial_fd(f, j, w)
@@ -137,7 +142,7 @@ def cross_partial(f: WindowFunction, j1: int, j2: int, window) -> np.ndarray:
                 mat[a, b] = (
                     f.eval(wpp) - f.eval(wpm) - f.eval(wmp) + f.eval(wmm)
                 ) / (4.0 * h1[a] * h2[b])
-    if not np.all(np.isfinite(mat)):
+    if not np.isfinite(mat).all():
         raise NumericError(f"non-finite cross partial D_{j1}D_{j2}")
     return mat
 

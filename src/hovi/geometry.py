@@ -35,13 +35,14 @@ class GroupAction:
 
 
 def rotation_action() -> GroupAction:
-    """Infinitesimal rotations of R^3 about the coordinate axes."""
-    def make(axis):
-        e = np.zeros(3)
-        e[axis] = 1.0
-        return lambda q: np.cross(e, q)
-
-    return GroupAction(tuple(make(a) for a in range(3)))
+    """Infinitesimal rotations of R^3 about the coordinate axes, q -> e_a x q."""
+    return GroupAction(
+        (
+            lambda q: np.array([0.0, -q[2], q[1]]),
+            lambda q: np.array([q[2], 0.0, -q[0]]),
+            lambda q: np.array([-q[1], q[0], 0.0]),
+        )
+    )
 
 
 def translation_action(n: int) -> GroupAction:
@@ -103,7 +104,7 @@ def omega_matrix(
     jac = central_difference(
         lambda z: _theta_of_coords(system, z, which), point.flatten(), FD_STEP
     )
-    if not np.all(np.isfinite(jac)):
+    if not np.isfinite(jac).all():
         raise NumericError("non-finite differencing in omega_matrix")
     return jac - jac.T
 

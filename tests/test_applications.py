@@ -1,8 +1,11 @@
+import types
+
 import numpy as np
 import pytest
 
+from hovi import applications
 from hovi.core import DiscretePath, MultiplierSequence, discrete_action
-from hovi.delsolve import BoundaryData, del_residual, solve_bvp
+from hovi.delsolve import BoundaryData, del_residual, node_gradient, solve_bvp
 from hovi.derivatives import check_gradient, partial
 from hovi.errors import DimensionError, NumericError
 from hovi.applications import (
@@ -134,6 +137,49 @@ def test_beam_analytic_gradients():
         w[1, 0] = w[0, 0] + 0.3 + rng.random()
         w[2, 0] = w[1, 0] + 0.3 + rng.random()
         assert check_gradient(extended.lagrangian, w) < 1e-6
+
+
+def counting_beam(calls):
+    """Beam whose coefficient callables count their calls in calls[name]."""
+
+    def counted(name, fn):
+        def call(t):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(t)
+
+        return call
+
+    return beam_system(
+        counted("mu", lambda t: 1.0 + 0.2 * t + 0.01 * t ** 2),
+        counted("rho", lambda t: 0.3 * t ** 2),
+        dmu=counted("dmu", lambda t: 0.2 + 0.02 * t),
+        drho=counted("drho", lambda t: 0.6 * t),
+    )
+
+
+def test_beam_coefficients_evaluated_once_per_window(monkeypatch):
+    rng = np.random.default_rng(12)
+    N, k = 12, 2
+    times = np.arange(N + 1.0) + 0.3 * rng.random(N + 1)
+    nodes = np.column_stack([times, rng.normal(size=N + 1)])
+    lams = np.zeros((N - k + 1, 0))
+
+    def sweep(system):
+        ext = extend(system)
+        return [node_gradient(ext, nodes, lams, p) for p in range(k, N - k + 1)]
+
+    calls = {}
+    cached = sweep(counting_beam(calls))
+    assert calls == {name: N - k + 1 for name in ("mu", "rho", "dmu", "drho")}
+
+    # The same system without the cache: every value recomputed, equal bit for bit.
+    identity = types.SimpleNamespace(lru_cache=lambda maxsize: lambda fn: fn)
+    monkeypatch.setattr(applications, "functools", identity)
+    uncached_calls = {}
+    uncached = sweep(counting_beam(uncached_calls))
+    assert min(uncached_calls.values()) > 2 * (N - k + 1)
+    for a, b in zip(cached, uncached):
+        assert np.array_equal(a, b)
 
 
 def test_beam_cubic_is_unforced_solution():

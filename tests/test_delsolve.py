@@ -9,7 +9,7 @@ from hovi.core import (
     WindowFunction,
     discrete_action,
 )
-from hovi import delsolve
+from hovi import delsolve, derivatives
 from hovi.delsolve import (
     BoundaryData,
     StepState,
@@ -227,9 +227,9 @@ def dense_checked_jacobians(monkeypatch):
     """
     sizes = []
 
-    def checked(residual, x, pattern=None):
+    def checked(residual, x, pattern=None, groups=None):
         assert pattern is not None and pattern.shape == (x.size, x.size)
-        colored = fd_jacobian(residual, x, pattern)
+        colored = fd_jacobian(residual, x, pattern, groups)
         assert np.array_equal(colored, fd_jacobian(residual, x))
         sizes.append(x.size)
         return colored
@@ -289,14 +289,14 @@ class _FirstBuildDone(Exception):
 def test_colored_jacobian_evaluations_do_not_grow_with_N(monkeypatch):
     evals = []
 
-    def first_build(residual, x, pattern=None):
+    def first_build(residual, x, pattern=None, groups=None):
         count = []
 
         def counted(y):
             count.append(1)
             return residual(y)
 
-        fd_jacobian(counted, x, pattern)
+        fd_jacobian(counted, x, pattern, groups)
         evals.append((len(count), x.size))
         raise _FirstBuildDone
 
@@ -309,6 +309,25 @@ def test_colored_jacobian_evaluations_do_not_grow_with_N(monkeypatch):
     counts = [c for c, _ in evals]
     assert counts[0] == counts[1] == counts[2]
     assert counts[0] < 2 * evals[0][1]
+
+
+def test_solve_bvp_colors_the_pattern_once(monkeypatch):
+    colorings = []
+
+    def counted(pattern):
+        colorings.append(pattern.shape)
+        return column_groups(pattern)
+
+    column_groups = derivatives._column_groups
+    # Counted in both modules, wherever the solver looks the coloring up.
+    monkeypatch.setattr(derivatives, "_column_groups", counted)
+    monkeypatch.setattr(delsolve, "_column_groups", counted, raising=False)
+    nodes = circle_nodes(range(21), theta=0.06)
+    boundary = BoundaryData(nodes[:2], nodes[-2:], 20)
+    _, _, report = solve_bvp(sphere_spline_system(1.0, 0.1), boundary)
+    assert report.converged
+    assert report.iterations > 1
+    assert len(colorings) == 1
 
 
 def test_solve_bvp_rejects_fixed_nodes_off_a_constraint_before_newton(monkeypatch):

@@ -9,7 +9,7 @@ from hovi.derivatives import (
     partial,
     partial_fd,
 )
-from hovi.errors import DimensionError
+from hovi.errors import DimensionError, NumericError
 
 from util_systems import free_particle, second_difference_system
 
@@ -48,6 +48,26 @@ def test_partial_factor_index_out_of_range():
         partial(f, 0, w)
     with pytest.raises(DimensionError):
         partial(f, 3, w)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_partial_rejects_non_finite_analytic_partial(bad):
+    grads = (lambda w: np.array([bad, 0.0]), lambda w: np.zeros(2))
+    f = WindowFunction(1, 2, lambda w: 0.0, grads)
+    with pytest.raises(NumericError, match="analytic partial D_1"):
+        partial(f, 1, np.zeros((2, 2)))
+    assert np.array_equal(partial(f, 2, np.zeros((2, 2))), np.zeros(2))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_partial_fd_rejects_non_finite_difference(bad):
+    # Infinite on one side of w[0, 0] = 1 only: the difference is +-inf.
+    f = WindowFunction(1, 1, lambda w: bad if w[0, 0] > 1.0 else 0.0)
+    w = np.array([[1.0], [0.0]])
+    with pytest.raises(NumericError, match="finite-difference partial D_1"):
+        partial_fd(f, 1, w)
+    with pytest.raises(NumericError, match="finite-difference partial D_1"):
+        partial(f, 1, w)
 
 
 def test_fd_exact_on_quadratics():

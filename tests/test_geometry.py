@@ -242,6 +242,13 @@ def test_sphere_restricted_defect_at_small_step():
         assert report.defect_norm < 1e-5, (i, report.defect_norm)
 
 
+def test_rotation_generators_equal_cross_products():
+    generators = rotation_action().generators
+    for q in np.random.default_rng(8).normal(size=(20, 3)):
+        for a, e in enumerate(np.eye(3)):
+            assert np.array_equal(generators[a](q), np.cross(e, q))
+
+
 def test_group_action_shapes():
     act = rotation_action()
     assert act.dim == 3
