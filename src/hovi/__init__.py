@@ -15,11 +15,10 @@ from .delsolve import (
     constraint_gradients,
     constraint_residual,
     del_residual,
-    regularity_matrix,
     solve_bvp,
     step,
 )
-from .derivatives import check_gradient, cross_partial, partial
+from .derivatives import check_gradient, partial
 from .errors import (
     DimensionError,
     NonConvergenceError,

@@ -12,13 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    ConstrainedSystem,
-    DiscretePath,
-    MultiplierSequence,
-    as_window,
-)
-from .derivatives import _column_groups, central_difference, cross_partial, partial
+# as_window is not called here; perfbench/tracing.py wraps it under this name.
+from .core import ConstrainedSystem, DiscretePath, MultiplierSequence, as_window
+from .derivatives import _column_groups, central_difference, partial
 from .errors import DimensionError, NonConvergenceError, NumericError, RegularityError
 
 DEFAULT_TOL = 1e-10
@@ -53,6 +49,8 @@ class BoundaryData:
             if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
                 raise DimensionError(f"pin index {i!r} is not an integer")
         pins = {int(i): np.asarray(q, dtype=float) for i, q in self.pins.items()}
+        if not all(np.isfinite(a).all() for a in (head, tail, *pins.values())):
+            raise DimensionError("boundary data has non-finite entries")
         object.__setattr__(self, "head", head)
         object.__setattr__(self, "tail", tail)
         object.__setattr__(self, "pins", pins)
@@ -198,23 +196,19 @@ def constraint_gradients(system: ConstrainedSystem, window) -> np.ndarray:
     return np.reshape(grads, (system.m, k + 1, system.n))
 
 
-def regularity_matrix(system: ConstrainedSystem, window, lam) -> np.ndarray:
-    """Bordered matrix whose invertibility defines the one-step map.
+def _constraint_reads(system: ConstrainedSystem, window) -> np.ndarray:
+    """The window coordinates each constraint reads, as (m, k+1, n) booleans.
 
-    Layout: [[D_(1,k+1) of the augmented window value (n x n),
-              D_(k+1) of the constraints (n x m)],
-             [D_1 of the constraints transposed (m x n), 0]].
+    A coordinate counts when its constraint partial is nonzero on the
+    window or on one fixed nearby window, so a gradient that vanishes at
+    the window alone (the sphere's at the origin) still counts.
     """
-    k, n, m = system.k, system.n, system.m
-    w = as_window(window, k, n)
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    if lam.shape != (m,):
-        raise DimensionError(f"lambda has shape {lam.shape}, expected ({m},)")
-    top_left = cross_partial(system.lagrangian, 1, k + 1, w)
-    for alpha, phi in enumerate(system.constraints):
-        top_left = top_left + lam[alpha] * cross_partial(phi, 1, k + 1, w)
-    grads = constraint_gradients(system, w)
-    return np.block([[top_left, grads[:, k].T], [grads[:, 0], np.zeros((m, m))]])
+    window = np.asarray(window, dtype=float)
+    shift = np.sin(np.arange(1.0, window.size + 1)).reshape(window.shape)
+    nearby = window + 1e-3 * (1.0 + np.abs(window)) * shift
+    return (constraint_gradients(system, window) != 0.0) | (
+        constraint_gradients(system, nearby) != 0.0
+    )
 
 
 def newton_solve(residual, x0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, pattern=None):
@@ -386,7 +380,7 @@ def solve_masked(
     keep = np.ones(x0.size, dtype=bool)
     for i in range(nwin):
         window = nodes0[i : i + k + 1]
-        reads = (constraint_gradients(system, window) != 0.0) & q_mask[i : i + k + 1]
+        reads = _constraint_reads(system, window) & q_mask[i : i + k + 1]
         moves = reads.any(axis=(1, 2))
         keep[nq + i * m : nq + (i + 1) * m] = moves
         for alpha in np.flatnonzero(~moves):
@@ -476,7 +470,7 @@ def _step_equations(system: ConstrainedSystem, state: StepState):
 
     # Last factor through which each constraint sees a node: determines
     # which window's constraint equation involves the new point.
-    reads = constraint_gradients(system, nodes[k:]).any(axis=2)
+    reads = _constraint_reads(system, nodes[k:]).any(axis=2)
     if not reads.any(axis=1).all():
         raise RegularityError("constraint depends on no window factor", condition=np.inf)
     jstar = [int(np.flatnonzero(r)[-1]) + 1 for r in reads]

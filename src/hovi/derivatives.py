@@ -2,8 +2,6 @@
 
 Analytic partials win whenever a WindowFunction carries them; otherwise
 central_difference, the package's one first-order difference routine.
-Numeric second derivatives use a four-point cross stencil with a
-sqrt-scaled step.
 """
 from __future__ import annotations
 
@@ -105,46 +103,6 @@ def partial(f: WindowFunction, j: int, window) -> np.ndarray:
             raise NumericError(f"non-finite analytic partial D_{j}")
         return g
     return partial_fd(f, j, w)
-
-
-def cross_partial(f: WindowFunction, j1: int, j2: int, window) -> np.ndarray:
-    """Matrix of second partials, entry [a, b] = d^2 f / d w_{j1,a} d w_{j2,b}.
-
-    With analytic first partials: central difference of D_{j2} along factor
-    j1.  Fully numeric: four-point cross stencil with step FD_STEP**0.5.
-    """
-    _check_factor(f, j1)
-    _check_factor(f, j2)
-    w = as_window(window, f.k, f.n)
-    if f.partials is not None:
-        mat = central_difference(
-            lambda row: partial(f, j2, _with_factor(w, j1, row)), w[j1 - 1], FD_STEP
-        ).T
-    else:
-        mat = np.empty((f.n, f.n))
-        scale = FD_STEP ** 0.5
-        h1 = scale * np.maximum(1.0, np.abs(w[j1 - 1]))
-        h2 = scale * np.maximum(1.0, np.abs(w[j2 - 1]))
-        for a in range(f.n):
-            for b in range(f.n):
-                wpp = w.copy()
-                wpm = w.copy()
-                wmp = w.copy()
-                wmm = w.copy()
-                wpp[j1 - 1, a] += h1[a]
-                wpp[j2 - 1, b] += h2[b]
-                wpm[j1 - 1, a] += h1[a]
-                wpm[j2 - 1, b] -= h2[b]
-                wmp[j1 - 1, a] -= h1[a]
-                wmp[j2 - 1, b] += h2[b]
-                wmm[j1 - 1, a] -= h1[a]
-                wmm[j2 - 1, b] -= h2[b]
-                mat[a, b] = (
-                    f.eval(wpp) - f.eval(wpm) - f.eval(wmp) + f.eval(wmm)
-                ) / (4.0 * h1[a] * h2[b])
-    if not np.isfinite(mat).all():
-        raise NumericError(f"non-finite cross partial D_{j1}D_{j2}")
-    return mat
 
 
 def check_gradient(f: WindowFunction, window) -> float:

@@ -10,10 +10,11 @@ class NumericError(ArithmeticError):
 
 
 class RegularityError(RuntimeError):
-    """The bordered second-derivative (KKT) system is singular.
+    """The Jacobian of the equations being solved is singular.
 
-    Carries a condition-number estimate of the offending matrix when one
-    is available.
+    Raised for a Newton Jacobian, or the Jacobian of the one-step map's
+    equations, whose condition estimate exceeds the limit; carries that
+    estimate (inf for an exactly singular matrix) as ``condition``.
     """
 
     def __init__(self, message, condition=None):

@@ -14,10 +14,17 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import ConstrainedSystem
-from .delsolve import StepState, _step_equations, constraint_gradients, node_gradient, step
+from .delsolve import (
+    StepState,
+    _regular_svd,
+    _step_equations,
+    constraint_gradients,
+    node_gradient,
+    step,
+)
 # partial is not called here; perfbench/tracing.py wraps it under this name.
 from .derivatives import FD_STEP, central_difference, partial
-from .errors import DimensionError, NumericError, RegularityError
+from .errors import DimensionError, NumericError
 
 
 @dataclass(frozen=True)
@@ -131,8 +138,9 @@ def _step_map_jacobian(system, state, next_state):
 
     The new node and multiplier x solve G(x; z) = 0, the step equations
     of the state with coordinates z, so dx/dz = -G_x^{-1} G_z with both
-    partials by central differencing (step FD_STEP) at the solved point.
-    The other rows shift the state by one node, in flatten order.
+    partials by central differencing (step FD_STEP) at the solved point;
+    a G_x that fails _regular_svd raises RegularityError.  The other rows
+    shift the state by one node, in flatten order.
     """
     k, n, m = system.k, system.n, system.m
     z = state.flatten()
@@ -143,10 +151,8 @@ def _step_map_jacobian(system, state, next_state):
 
     g_x = central_difference(equations(z), x, FD_STEP)
     g_z = central_difference(lambda w: equations(w)(x), z, FD_STEP)
-    try:
-        dx_dz = -np.linalg.solve(g_x, g_z)
-    except np.linalg.LinAlgError:
-        raise RegularityError("singular step equations at the solved point", condition=np.inf)
+    _regular_svd(g_x, "step equations at the solved point")
+    dx_dz = -np.linalg.solve(g_x, g_z)
     nq, dim = 2 * k * n, z.size
     jac = np.zeros((dim, dim))
     jac[np.r_[: nq - n, nq : dim - m], np.r_[n:nq, nq + m : dim]] = 1.0

@@ -41,6 +41,8 @@ class TimedPath:
             nodes = nodes[:, None]
         if times.ndim != 1 or times.shape[0] != nodes.shape[0]:
             raise DimensionError("times and nodes must have matching lengths")
+        if not (np.isfinite(times).all() and np.isfinite(nodes).all()):
+            raise DimensionError("timed path has non-finite entries")
         if np.any(np.diff(times) <= 0):
             raise DimensionError("times must be strictly increasing")
         object.__setattr__(self, "times", times)

@@ -430,6 +430,22 @@ def test_run_singular_jacobian_exits_3(tmp_path, capsys):
     assert not (out / "trajectory.csv").exists()
 
 
+def test_run_unknown_node_at_the_origin_exits_3(tmp_path, capsys):
+    # Between antipodal points the linear guess puts the unknown node 5 at
+    # the origin, where the sphere constraint's gradient vanishes: the solve
+    # meets a singular Jacobian instead of rejecting the config.
+    a = 0.3
+    boundary = {
+        "head": [[np.cos(-a), np.sin(-a), 0.0], [1.0, 0.0, 0.0]],
+        "tail": [[-1.0, 0.0, 0.0], [np.cos(np.pi + a), np.sin(np.pi + a), 0.0]],
+    }
+    path = sphere_config(tmp_path, params={"r": 1.0, "h": 0.1, "N": 10}, boundary=boundary)
+    out = tmp_path / "out"
+    assert cli.main(["run", path, "--out", str(out)]) == 3
+    assert "singular Newton Jacobian" in capsys.readouterr().err
+    assert not (out / "trajectory.csv").exists()
+
+
 def test_run_ocp_writes_controls(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["run", ocp_config(tmp_path), "--out", str(out)]) == 0

@@ -17,7 +17,6 @@ from hovi.delsolve import (
     constraint_residual,
     del_residual,
     newton_solve,
-    regularity_matrix,
     solve_bvp,
     step,
 )
@@ -117,6 +116,15 @@ def test_boundary_data_rejects_non_integer_pin_index(index):
     head, tail, point = np.zeros((2, 1)), np.ones((2, 1)), np.array([0.5])
     with pytest.raises(DimensionError, match="not an integer"):
         BoundaryData(head, tail, 8, {index: point})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("where", ["head", "tail", "pin"])
+def test_boundary_data_rejects_non_finite_entries(where, bad):
+    blocks = {"head": np.zeros((2, 1)), "tail": np.ones((2, 1)), "pin": np.array([0.5])}
+    blocks[where].flat[-1] = bad
+    with pytest.raises(DimensionError, match="non-finite"):
+        BoundaryData(blocks["head"], blocks["tail"], 8, {4: blocks["pin"]})
 
 
 def test_boundary_data_accepts_numpy_integer_pin_index():
@@ -342,6 +350,32 @@ def test_solve_bvp_rejects_fixed_nodes_off_a_constraint_before_newton(monkeypatc
     assert calls == []
 
 
+def antipodal_boundary(N, a=0.3):
+    head = [(np.cos(-a), np.sin(-a), 0.0), (1.0, 0.0, 0.0)]
+    tail = [(-1.0, 0.0, 0.0), (np.cos(np.pi + a), np.sin(np.pi + a), 0.0)]
+    return BoundaryData(head, tail, N)
+
+
+def test_constraint_reads_at_a_vanishing_gradient():
+    # The sphere constraint's gradient 2q vanishes at the origin; it still
+    # reads factor 1 there, and only factor 1.
+    reads = delsolve._constraint_reads(sphere_spline_system(1.0, 0.1), np.zeros((3, 3)))
+    assert np.array_equal(reads, [[[True] * 3, [False] * 3, [False] * 3]])
+
+
+def test_solve_bvp_unknown_node_at_a_vanishing_constraint_gradient():
+    # Between antipodal points the linear guess puts node 5 at the origin.
+    # Node 5 is an unknown, so its constraint enters the Newton system
+    # (singular there) instead of being checked as fixed data.
+    system = sphere_spline_system(1.0, 0.1)
+    nodes0, _ = delsolve.initial_guess(antipodal_boundary(10))
+    assert not nodes0[5].any()
+    with pytest.raises(RegularityError, match="singular Newton Jacobian"):
+        solve_bvp(system, antipodal_boundary(10))
+    _, _, report = solve_bvp(system, antipodal_boundary(11))
+    assert report.converged
+
+
 def test_solve_bvp_pin_read_by_unknown_windows():
     # Every window through the pinned node also holds an unknown node, so
     # the pin is not checked on its own and the solve reproduces the path.
@@ -500,30 +534,6 @@ def test_step_regularity_error_on_constraint_reading_no_factor():
     state = StepState(np.array([[1.0], [1.1], [0.9], [1.05]]), np.zeros((2, 1)))
     with pytest.raises(RegularityError, match="no window factor"):
         step(system, state)
-
-
-def test_regularity_matrix_free_particle():
-    system = free_particle(h=1.0)
-    mat = regularity_matrix(system, np.array([[0.0], [1.0]]), np.zeros(0))
-    np.testing.assert_allclose(mat, [[-1.0]], atol=1e-4)
-
-
-def test_regularity_matrix_bordered_zeros_singular():
-    base = second_difference_system(h=1.0)
-    phi = WindowFunction(2, 1, lambda w: w[1, 0] ** 2 - 1.0)
-    system = ConstrainedSystem(2, 1, base.lagrangian, (phi,))
-    mat = regularity_matrix(system, np.ones((3, 1)), np.array([0.5]))
-    assert abs(np.linalg.det(mat)) < 1e-8
-
-
-def test_regularity_matrix_sphere_hand_assembly():
-    system = sphere_spline_system(1.0, 0.5)
-    q = np.array([0.6, 0.0, 0.8])
-    mat = regularity_matrix(system, np.tile(q, (3, 1)), np.zeros(1))
-    np.testing.assert_allclose(mat[:3, :3], np.eye(3) / 0.5 ** 3, atol=1e-4)
-    np.testing.assert_allclose(mat[:3, 3], 0.0, atol=1e-8)
-    np.testing.assert_allclose(mat[3, :3], 2.0 * q, atol=1e-8)
-    assert mat[3, 3] == 0.0
 
 
 def test_newton_solve_scalar_quadratic():

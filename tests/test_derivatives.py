@@ -5,7 +5,6 @@ from hovi.core import WindowFunction
 from hovi.derivatives import (
     central_difference,
     check_gradient,
-    cross_partial,
     partial,
     partial_fd,
 )
@@ -124,37 +123,6 @@ def test_central_difference_pattern_groups_columns():
     colored = central_difference(fn, x, 1e-6, pattern)
     assert len(calls) == 6
     assert np.array_equal(colored, central_difference(fn, x, 1e-6))
-
-
-def test_cross_partial_product():
-    f = product_function()
-    w = np.array([[2.0], [5.0]])
-    np.testing.assert_allclose(cross_partial(f, 1, 2, w), [[1.0]], atol=1e-4)
-
-
-def test_cross_partial_pure_quadratic():
-    f = WindowFunction(1, 1, lambda w: 0.5 * w[0, 0] ** 2)
-    w = np.array([[3.0], [-1.0]])
-    np.testing.assert_allclose(cross_partial(f, 1, 1, w), [[1.0]], atol=1e-4)
-
-
-def test_cross_partial_second_difference():
-    f = second_difference_system(h=1.0).lagrangian
-    w = np.array([[0.3], [-0.2], [0.9]])
-    np.testing.assert_allclose(cross_partial(f, 1, 3, w), [[1.0]], atol=1e-6)
-
-
-def test_cross_partial_schwarz_symmetry():
-    def ev(w):
-        return float(np.exp(w[0, 0] * w[1, 1]) + np.sin(w[2, 0]) * w[1, 0] ** 2)
-
-    f = WindowFunction(2, 2, ev)
-    rng = np.random.default_rng(11)
-    w = 0.5 * rng.normal(size=(3, 2))
-    for j1, j2 in ((1, 2), (1, 3), (2, 3)):
-        a = cross_partial(f, j1, j2, w)
-        b = cross_partial(f, j2, j1, w)
-        np.testing.assert_allclose(a, b.T, atol=1e-6)
 
 
 def test_check_gradient_correct_partials():

@@ -201,6 +201,20 @@ def test_check_symplecticity_singular_step_equations():
         check_symplecticity(zero_system(), state)
 
 
+def test_step_map_jacobian_singular_at_the_solved_point():
+    # With the new node at the origin the sphere constraint's row 2q of the
+    # step equations' Jacobian is zero.
+    system = sphere_spline_system(1.0, 0.1)
+    state = great_circle_state(1.0, 0.1)
+    image, _ = step(system, state)
+    configs = image.configs.copy()
+    configs[-1] = 0.0
+    bad = StepState(configs, image.multipliers)
+    with pytest.raises(RegularityError, match="step equations at the solved point") as err:
+        geometry._step_map_jacobian(system, state, bad)
+    assert err.value.condition == np.inf
+
+
 def reference_step_map_jacobian(system, state):
     """The step map differenced directly, each value a Newton solve (step 1e-5)."""
     k, n, m = system.k, system.n, system.m

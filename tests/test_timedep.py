@@ -49,6 +49,14 @@ def test_timed_path_validation():
     assert tp.extended_nodes().shape == (3, 2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_timed_path_rejects_non_finite_entries(bad):
+    with pytest.raises(DimensionError, match="non-finite"):
+        TimedPath([0.0, bad], np.zeros(2))
+    with pytest.raises(DimensionError, match="non-finite"):
+        TimedPath([0.0, 1.0], [0.0, bad])
+
+
 def test_lagrangian_partials_length_checked():
     with pytest.raises(DimensionError):
         TimeDependentLagrangian(2, 1, lambda ts, qs: 0.0, (lambda ts, qs: None,))
