@@ -39,10 +39,8 @@ from .geometry import (
 from .timedep import (
     TimedPath,
     TimeDependentLagrangian,
-    adaptive_step_constraints,
     discrete_energy,
     extend,
-    fixed_step_constraints,
     solve_fixed_step,
     solve_free_times,
 )

@@ -19,7 +19,7 @@ from .delsolve import (
 )
 from .derivatives import partial
 from .errors import DimensionError, NumericError
-from .timedep import TimeDependentLagrangian
+from .timedep import TimedPath, TimeDependentLagrangian
 
 
 def sphere_spline_system(r: float, h: float) -> ConstrainedSystem:
@@ -289,11 +289,8 @@ def solve_ocp(
     ``head`` and ``tail`` each hold two boundary configurations; the
     spatial interiors and all multipliers are the unknowns.
     """
-    times = np.asarray(times, dtype=float)
-    if np.any(np.diff(times) <= 0):
-        raise DimensionError("times must be strictly increasing")
-    N = times.shape[0] - 1
+    N = np.shape(times)[0] - 1
     nodes0, q_mask = initial_guess(BoundaryData(head, tail, N).checked(2, spec.n))
-    nodes0 = np.column_stack([times, nodes0])
+    nodes0 = TimedPath(times, nodes0).extended_nodes()
     q_mask = np.column_stack([np.zeros(N + 1, dtype=bool), q_mask])
     return solve_masked(underactuated_to_constrained(spec), nodes0, q_mask, tol, max_iter)

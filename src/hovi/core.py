@@ -7,7 +7,7 @@ indices j in partial derivatives are 1-based (j = 1..k+1).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -63,7 +63,6 @@ class ConstrainedSystem:
     n: int
     lagrangian: WindowFunction
     constraints: tuple[WindowFunction, ...] = ()
-    labels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
         object.__setattr__(self, "constraints", tuple(self.constraints))

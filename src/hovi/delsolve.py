@@ -218,7 +218,8 @@ def newton_solve(residual, x0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, patte
     max-norm of the residual.  pattern, when given, is the boolean
     sparsity pattern of the Jacobian, which is then colored once and
     differenced by column groups (see central_difference).  Raises
-    RegularityError on a singular/ill-conditioned Jacobian, and
+    RegularityError on a singular/ill-conditioned Jacobian, at every
+    iterate and at a guess that already meets tol, and
     NonConvergenceError (carrying the last accepted iterate) when the line
     search finds no decrease or at the iteration cap.
     """
@@ -233,6 +234,9 @@ def newton_solve(residual, x0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, patte
     report.residual_history.append(fnorm)
     report.final_residual_norm = fnorm
     groups = None if pattern is None else _column_groups(pattern)
+    if fnorm <= tol and x.size:
+        jac = _fd_jacobian(residual, x, pattern, groups)
+        report.jacobian_condition_estimate = _regular_svd(jac, "Newton Jacobian at the guess")[3]
 
     for it in range(max_iter):
         if fnorm <= tol:
@@ -470,10 +474,9 @@ def _step_equations(system: ConstrainedSystem, state: StepState):
 
     # Last factor through which each constraint sees a node: determines
     # which window's constraint equation involves the new point.
+    # A constraint that reads no factor takes k+1; its row of G_x is zero.
     reads = _constraint_reads(system, nodes[k:]).any(axis=2)
-    if not reads.any(axis=1).all():
-        raise RegularityError("constraint depends on no window factor", condition=np.inf)
-    jstar = [int(np.flatnonzero(r)[-1]) + 1 for r in reads]
+    jstar = [k + 1 - int(np.argmax(r[::-1])) for r in reads]
     # Window rows of each constraint equation: factor js on the new node
     # 2k, any later factors repeating it.
     rows = [np.minimum(np.arange(2 * k - js + 1, 3 * k - js + 2), 2 * k) for js in jstar]
@@ -495,17 +498,10 @@ def step(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ):
-    """Advance the one-step map by one node: solve _step_equations, then shift.
-
-    A guess that already solves the equations is accepted only where
-    their Jacobian is regular, as every Newton iterate is.
-    """
+    """Advance the one-step map by one node: solve _step_equations, then shift."""
     n, m = system.n, system.m
     residual, x0 = _step_equations(system, state)
     x, report = newton_solve(residual, x0, tol=tol, max_iter=max_iter)
-    if report.iterations == 0:
-        jac = _fd_jacobian(residual, x)
-        report.jacobian_condition_estimate = _regular_svd(jac, "step equations at the guess")[3]
     new_configs = np.vstack([state.configs[1:], x[:n].reshape(1, n)])
     new_mult = np.vstack([state.multipliers[1:], x[n:].reshape(1, m)])
     return StepState(new_configs, new_mult), report

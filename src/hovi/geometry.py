@@ -91,10 +91,16 @@ def theta_plus(system: ConstrainedSystem, point: StepState) -> np.ndarray:
     return _node_gradients(system, point, range(system.k, 2 * system.k))
 
 
+def _theta(system, point, side):
+    """theta_plus or theta_minus at the point, as side names."""
+    if side not in ("plus", "minus"):
+        raise DimensionError(f"expected side 'plus' or 'minus', got {side!r}")
+    return (theta_plus if side == "plus" else theta_minus)(system, point)
+
+
 def _theta_of_coords(system, z, which):
     k, n, m = system.k, system.n, system.m
-    point = StepState.unflatten(z, k, n, m)
-    th = theta_minus(system, point) if which == "minus" else theta_plus(system, point)
+    th = _theta(system, StepState.unflatten(z, k, n, m), which)
     return np.concatenate([th, np.zeros(k * m)])
 
 
@@ -196,12 +202,8 @@ def momentum(
     side: str = "plus",
 ) -> np.ndarray:
     """Pairing of the boundary one-form with the lifted generators."""
-    point.checked(system)
-    if side not in ("plus", "minus"):
-        raise DimensionError(f"side must be 'plus' or 'minus', got {side!r}")
     k, n = system.k, system.n
-    th = (theta_plus if side == "plus" else theta_minus)(system, point)
-    coeff = th.reshape(2 * k, n)
+    coeff = _theta(system, point, side).reshape(2 * k, n)
     out = np.empty(action.dim)
     for a, gen in enumerate(action.generators):
         val = 0.0

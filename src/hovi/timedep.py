@@ -9,7 +9,7 @@ energy balance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -80,11 +80,13 @@ class TimeDependentLagrangian:
                 raise DimensionError(f"expected {self.k + 1} partials")
 
 
-def extend(
-    system: TimeDependentLagrangian,
-    constraints: Sequence[WindowFunction] = (),
-) -> ConstrainedSystem:
-    """Lift to a constrained system over R x Q with the span-weighted window value."""
+def extend(system: TimeDependentLagrangian) -> ConstrainedSystem:
+    """Lift to an unconstrained system over R x Q with the span-weighted window value.
+
+    Time is coordinate 0 of each extended node.  Window constraints go
+    on the lifted Lagrangian directly:
+    ``ConstrainedSystem(k, n + 1, extend(system).lagrangian, constraints)``.
+    """
     k, n = system.k, system.n
 
     def weighted(window):
@@ -115,8 +117,7 @@ def extend(
 
         grads = tuple(make(j) for j in range(1, k + 2))
 
-    lagrangian = WindowFunction(k, n + 1, weighted, grads)
-    return ConstrainedSystem(k, n + 1, lagrangian, tuple(constraints))
+    return ConstrainedSystem(k, n + 1, WindowFunction(k, n + 1, weighted, grads))
 
 
 def discrete_energy(system: TimeDependentLagrangian, times, nodes, i: int) -> float:
@@ -128,13 +129,8 @@ def discrete_energy(system: TimeDependentLagrangian, times, nodes, i: int) -> fl
     energy accurate well below the solver tolerances.
     """
     k = system.k
-    times = np.asarray(times, dtype=float)
-    nodes = np.asarray(nodes, dtype=float)
-    if nodes.ndim == 1:
-        nodes = nodes[:, None]
-    if np.any(np.diff(times) <= 0):
-        raise DimensionError("times must be strictly increasing")
-    N = times.shape[0] - 1
+    path = TimedPath(times, nodes)
+    times, nodes, N = path.times, path.nodes, path.N
     if not k - 1 <= i <= N - k:
         raise DimensionError(f"energy node {i} outside range {k - 1}..{N - k}")
     energy = 0.0
@@ -162,48 +158,6 @@ def discrete_energy(system: TimeDependentLagrangian, times, nodes, i: int) -> fl
     if not np.isfinite(energy):
         raise NumericError("non-finite discrete energy")
     return energy
-
-
-def fixed_step_constraints(h: float, n: int = 1, k: int = 2) -> list[WindowFunction]:
-    """Constraints pinning every consecutive time difference to h."""
-    if h <= 0:
-        raise DimensionError(f"step size must be positive, got {h}")
-
-    def make(j):
-        def ev(window, j=j):
-            return window[j, 0] - window[j - 1, 0] - h
-
-        partials = []
-        for factor in range(1, k + 2):
-            def grad(window, factor=factor, j=j):
-                g = np.zeros(n + 1)
-                if factor - 1 == j:
-                    g[0] = 1.0
-                elif factor - 1 == j - 1:
-                    g[0] = -1.0
-                return g
-
-            partials.append(grad)
-        return WindowFunction(k, n + 1, ev, tuple(partials))
-
-    return [make(j) for j in range(1, k + 1)]
-
-
-def adaptive_step_constraints(
-    hfunc: Callable[[np.ndarray], float], n: int = 1, k: int = 2
-) -> list[WindowFunction]:
-    """Constraints t_j - t_{j-1} = h(q-window) for a smooth positive h."""
-
-    def make(j):
-        def ev(window, j=j):
-            hv = float(hfunc(window[:, 1:]))
-            if not np.isfinite(hv) or hv <= 0:
-                raise NumericError(f"step-size function returned {hv}")
-            return window[j, 0] - window[j - 1, 0] - hv
-
-        return WindowFunction(k, n + 1, ev)
-
-    return [make(j) for j in range(1, k + 1)]
 
 
 def solve_free_times(
@@ -243,18 +197,17 @@ def solve_fixed_step(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ):
-    """Fixed-step solve exploiting the decoupling of the time equations.
+    """Boundary-value solve along the prescribed times t_i = t0 + i*h.
 
-    Times are prescribed as t_i = t0 + i*h and only the spatial
-    stationarity equations are solved; multipliers of the time
-    constraints (which are not unique) are never formed.
+    The time column is fixed data, so only the spatial stationarity
+    equations are solved and the energy balance of the time nodes is
+    not imposed.
     """
-    if h <= 0:
-        raise DimensionError(f"step size must be positive, got {h}")
+    if not 0.0 < h < np.inf:
+        raise DimensionError(f"step size must be positive and finite, got {h}")
     boundary = BoundaryData(head, tail, N).checked(system.k, system.n)
-    times = t0 + h * np.arange(N + 1)
     nodes0, q_mask = initial_guess(boundary)
-    nodes0 = np.column_stack([times, nodes0])
+    nodes0 = TimedPath(t0 + h * np.arange(N + 1), nodes0).extended_nodes()
     q_mask = np.column_stack([np.zeros(N + 1, dtype=bool), q_mask])
     path, _, report = solve_masked(extend(system), nodes0, q_mask, tol, max_iter)
-    return TimedPath(times, path.nodes[:, 1:]), report
+    return TimedPath(path.nodes[:, 0], path.nodes[:, 1:]), report

@@ -249,3 +249,12 @@ def test_ocp_action_equals_cost_sum():
     controls = recover_controls(spec, times, path.nodes[:, 1:])
     cost_sum = sum(0.5 * float(u @ u) for u in controls)
     assert action == pytest.approx(cost_sum, abs=1e-10)
+
+
+def test_solve_ocp_rejects_bad_times():
+    spec, times, head, tail = desk_ocp()
+    for bad in (np.nan, np.inf, times[5]):
+        t = times.copy()
+        t[6] = bad
+        with pytest.raises(DimensionError):
+            solve_ocp(spec, t, head, tail)

@@ -480,8 +480,18 @@ def test_step_rejects_singular_equations_solved_by_the_guess():
     # the guess meets tol at iteration 0; they still define no map.
     zero = ConstrainedSystem(2, 1, WindowFunction(2, 1, lambda w: 0.0), ())
     state = StepState(np.arange(4.0)[:, None], np.zeros((2, 0)))
-    with pytest.raises(RegularityError, match="singular step equations") as err:
+    with pytest.raises(RegularityError, match="singular Newton Jacobian at the guess") as err:
         step(zero, state)
+    assert err.value.condition == np.inf
+
+
+def test_solve_bvp_rejects_singular_equations_solved_by_the_guess():
+    # As for step: the linear guess meets tol, but the zero Lagrangian's
+    # DEL equations determine no interior node.
+    zero = lambda w: np.zeros(1)
+    system = ConstrainedSystem(2, 1, WindowFunction(2, 1, lambda w: 0.0, (zero, zero, zero)))
+    with pytest.raises(RegularityError, match="singular Newton Jacobian at the guess") as err:
+        solve_bvp(system, BoundaryData([[0.0], [1.0]], [[5.0], [6.0]], 8))
     assert err.value.condition == np.inf
 
 
@@ -532,7 +542,7 @@ def test_step_regularity_error_on_constraint_reading_no_factor():
     phi = WindowFunction(2, 1, lambda w: 0.0, (zero, zero, zero))
     system = ConstrainedSystem(2, 1, base.lagrangian, (phi,))
     state = StepState(np.array([[1.0], [1.1], [0.9], [1.05]]), np.zeros((2, 1)))
-    with pytest.raises(RegularityError, match="no window factor"):
+    with pytest.raises(RegularityError, match="singular Newton Jacobian"):
         step(system, state)
 
 

@@ -151,6 +151,8 @@ def test_momentum_trivial_cases():
     )
     with pytest.raises(DimensionError):
         momentum(zs, translation_action(2), zp, side="sideways")
+    with pytest.raises(DimensionError):
+        omega_matrix(zs, zp, which="sideways")
 
 
 def test_momentum_plus_equals_minus_for_invariant_system():
@@ -197,7 +199,7 @@ def test_check_symplecticity_singular_step_equations():
     # The zero Lagrangian's step equations vanish for every new node: the
     # guess solves them without a Newton iteration, but they define no map.
     state = StepState(np.arange(4.0)[:, None], np.zeros((2, 0)))
-    with pytest.raises(RegularityError, match="singular step equations"):
+    with pytest.raises(RegularityError, match="singular Newton Jacobian at the guess"):
         check_symplecticity(zero_system(), state)
 
 

@@ -4,14 +4,12 @@ import pytest
 from hovi.core import DiscretePath, MultiplierSequence, WindowFunction
 from hovi.delsolve import BoundaryData, del_residual, solve_bvp
 from hovi.derivatives import check_gradient
-from hovi.errors import DimensionError, NumericError
+from hovi.errors import DimensionError
 from hovi.timedep import (
     TimeDependentLagrangian,
     TimedPath,
-    adaptive_step_constraints,
     discrete_energy,
     extend,
-    fixed_step_constraints,
     solve_fixed_step,
     solve_free_times,
 )
@@ -143,44 +141,12 @@ def test_discrete_energy_validation():
         discrete_energy(tdl, [0.0, 1.0, 0.5], np.zeros(3), 1)
     with pytest.raises(DimensionError):
         discrete_energy(tdl, [0.0, 1.0, 2.0], np.zeros(3), 2)
-
-
-def test_fixed_step_constraints_values_and_partials():
-    cons = fixed_step_constraints(0.4, n=1, k=2)
-    assert len(cons) == 2
-    good = np.array([[0.0, 1.0], [0.4, 2.0], [0.8, 3.0]])
-    assert cons[0].value(good) == pytest.approx(0.0, abs=1e-14)
-    assert cons[1].value(good) == pytest.approx(0.0, abs=1e-14)
-    bumped = good.copy()
-    bumped[2, 0] += 1e-3
-    assert cons[1].value(bumped) == pytest.approx(1e-3, abs=1e-12)
-    rng = np.random.default_rng(3)
-    w = rng.normal(size=(3, 2))
-    for c in cons:
-        assert check_gradient(c, w) < 1e-6
-    with pytest.raises(DimensionError):
-        fixed_step_constraints(0.0)
-
-
-def test_adaptive_step_constraints():
-    cons = adaptive_step_constraints(lambda qs: 0.4, n=1, k=2)
-    fixed = fixed_step_constraints(0.4, n=1, k=2)
-    rng = np.random.default_rng(9)
-    w = rng.normal(size=(3, 2))
-    for ca, cf in zip(cons, fixed):
-        assert ca.value(w) == pytest.approx(cf.value(w), abs=1e-14)
-
-    bad = adaptive_step_constraints(lambda qs: -1.0, n=1, k=2)
-    with pytest.raises(NumericError):
-        bad[0].value(w)
-
-    # q-partials are minus the step-size function's derivatives
-    hfun = lambda qs: 0.3 * (1.0 + qs[0, 0] ** 2)
-    dep = adaptive_step_constraints(hfun, n=1, k=2)[0]
-    from hovi.derivatives import partial_fd
-
-    grad = partial_fd(dep, 1, w)
-    assert grad[1] == pytest.approx(-0.6 * w[0, 1], abs=1e-6)
+    times = [0.0, 0.4, 0.9, 1.3]
+    for nodes in (np.zeros(3), np.zeros(5)):
+        with pytest.raises(DimensionError, match="matching lengths"):
+            discrete_energy(tdl, times, nodes, 2)
+    with pytest.raises(DimensionError, match="non-finite"):
+        discrete_energy(tdl, [0.0, 1.0, 2.0, np.nan], np.zeros(4), 1)
 
 
 def test_solve_fixed_step_matches_autonomous_solve():
@@ -211,6 +177,9 @@ def test_solve_fixed_step_validation():
         solve_fixed_step(tdl, -0.1, 0.0, [[0.0]], [[1.0]], 8)
     with pytest.raises(DimensionError):
         solve_fixed_step(tdl, 0.1, 0.0, [[0.0]], [[1.0]], 2)
+    for h, t0 in ((np.nan, 0.0), (np.inf, 0.0), (0.1, np.nan)):
+        with pytest.raises(DimensionError):
+            solve_fixed_step(tdl, h, t0, [[0.0]], [[1.0]], 8)
 
 
 def test_solve_free_times_oscillator():
