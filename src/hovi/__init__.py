@@ -38,7 +38,6 @@ from .geometry import (
 )
 from .timedep import (
     TimedPath,
-    TimeDependentLagrangian,
     discrete_energy,
     extend,
     solve_fixed_step,

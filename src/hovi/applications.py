@@ -19,7 +19,7 @@ from .delsolve import (
 )
 from .derivatives import partial
 from .errors import DimensionError, NumericError
-from .timedep import TimedPath, TimeDependentLagrangian
+from .timedep import TimedPath
 
 
 def sphere_spline_system(r: float, h: float) -> ConstrainedSystem:
@@ -29,8 +29,8 @@ def sphere_spline_system(r: float, h: float) -> ConstrainedSystem:
     sphere constraint reads the first node of each window, so the
     multiplier of window i couples to node q_i in the combined equation.
     """
-    if r <= 0 or h <= 0:
-        raise DimensionError("radius and step must be positive")
+    if not (0.0 < r < np.inf and 0.0 < h < np.inf):
+        raise DimensionError(f"radius and step must be finite and positive, got {r}, {h}")
 
     def lag(w):
         d = w[2] - 2.0 * w[1] + w[0]
@@ -58,6 +58,8 @@ def sphere_multiplier(window, r: float, h: float) -> float:
     ``window`` holds q_{p-2}..q_{p+2}; the value is the multiplier of
     the sphere constraint paired with q_p on a solution.
     """
+    if not (0.0 < r < np.inf and 0.0 < h < np.inf):
+        raise DimensionError(f"radius and step must be finite and positive, got {r}, {h}")
     w = np.asarray(window, dtype=float)
     if w.shape != (5, 3):
         raise DimensionError(f"expected a (5, 3) node block, got {w.shape}")
@@ -95,13 +97,15 @@ def beam_system(
     rho: Callable[[float], float],
     dmu: Optional[Callable[[float], float]] = None,
     drho: Optional[Callable[[float], float]] = None,
-) -> TimeDependentLagrangian:
+) -> WindowFunction:
     """Deformed elastic beam: bending stiffness mu and load density rho.
 
-    Divided-difference acceleration with the midpoint of the three time
-    nodes feeding the coefficient functions.  When the coefficient
-    derivatives are supplied the system carries analytic gradients,
-    which free-time solves need for deep convergence.
+    A k=2 Lagrangian on R x Q with Q = R: a window function over the
+    extended window, each node (t, q).  Divided-difference acceleration
+    with the midpoint of the three time nodes feeding the coefficient
+    functions.  When the coefficient derivatives are supplied the
+    Lagrangian carries analytic gradients, which free-time solves need
+    for deep convergence.
 
     The coefficients are treated as pure functions of the midpoint time:
     each remembers its values at the last 8 midpoint times, so the value
@@ -113,29 +117,29 @@ def beam_system(
     if dmu is not None and drho is not None:
         dmu, drho = cached(dmu), cached(drho)
 
-    def pieces(ts, qs):
-        tbar = (ts[0] + ts[1] + ts[2]) / 3.0
+    def pieces(w):
+        tbar = (w[0, 0] + w[1, 0] + w[2, 0]) / 3.0
         mu_val = float(mu(tbar))
         if mu_val == 0.0:
             raise NumericError(f"stiffness vanished at t = {tbar}")
-        dt1 = ts[1] - ts[0]
-        dt2 = ts[2] - ts[1]
-        acc = (qs[2, 0] - qs[1, 0]) / dt2 ** 2 - (qs[1, 0] - qs[0, 0]) / (dt1 * dt2)
+        dt1 = w[1, 0] - w[0, 0]
+        dt2 = w[2, 0] - w[1, 0]
+        acc = (w[2, 1] - w[1, 1]) / dt2 ** 2 - (w[1, 1] - w[0, 1]) / (dt1 * dt2)
         return tbar, mu_val, dt1, dt2, acc
 
-    def ev(ts, qs):
-        tbar, mu_val, _, _, acc = pieces(ts, qs)
-        qbar = (qs[0, 0] + qs[1, 0] + qs[2, 0]) / 3.0
+    def ev(w):
+        tbar, mu_val, _, _, acc = pieces(w)
+        qbar = (w[0, 1] + w[1, 1] + w[2, 1]) / 3.0
         return 0.5 * mu_val * acc ** 2 + float(rho(tbar)) * qbar
 
     partials = None
     if dmu is not None and drho is not None:
         def make(j):
-            def grad(ts, qs, j=j):
-                tbar, mu_val, dt1, dt2, acc = pieces(ts, qs)
-                a = qs[2, 0] - qs[1, 0]
-                b = qs[1, 0] - qs[0, 0]
-                qbar = (qs[0, 0] + qs[1, 0] + qs[2, 0]) / 3.0
+            def grad(w, j=j):
+                tbar, mu_val, dt1, dt2, acc = pieces(w)
+                a = w[2, 1] - w[1, 1]
+                b = w[1, 1] - w[0, 1]
+                qbar = (w[0, 1] + w[1, 1] + w[2, 1]) / 3.0
                 if j == 1:
                     dacc_dt = -b / (dt1 ** 2 * dt2)
                     dacc_dq = 1.0 / (dt1 * dt2)
@@ -157,7 +161,7 @@ def beam_system(
 
         partials = tuple(make(j) for j in (1, 2, 3))
 
-    return TimeDependentLagrangian(2, 1, ev, partials)
+    return WindowFunction(2, 2, ev, partials)
 
 
 @dataclass(frozen=True)
@@ -263,15 +267,14 @@ def recover_controls(spec: UnderactuatedSpec, times, nodes) -> np.ndarray:
     Row i-1 holds u_i, the actuated controlled expression at node i,
     for i = 1..N-1.
     """
-    times = np.asarray(times, dtype=float)
-    nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
-    if times.shape[0] < 3:
+    path = TimedPath(times, nodes)
+    if path.N < 2:
         raise DimensionError("need at least three nodes to recover controls")
-    if nodes.shape != (times.shape[0], spec.n):
-        raise DimensionError(f"nodes have shape {nodes.shape}")
-    extended = np.column_stack([times, nodes])
-    out = np.empty((times.shape[0] - 2, spec.r))
-    for i in range(1, times.shape[0] - 1):
+    if path.nodes.shape[1] != spec.n:
+        raise DimensionError(f"nodes have shape {path.nodes.shape}")
+    extended = path.extended_nodes()
+    out = np.empty((path.N - 1, spec.r))
+    for i in range(1, path.N):
         out[i - 1] = _forced_terms(spec, extended[i - 1 : i + 2])[: spec.r]
     return out
 

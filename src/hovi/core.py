@@ -124,6 +124,8 @@ class MultiplierSequence:
             lam = lam[:, None]
         if lam.ndim != 2:
             raise DimensionError(f"multipliers must be 2-D, got shape {lam.shape}")
+        if not np.isfinite(lam).all():
+            raise DimensionError("multipliers have non-finite entries")
         object.__setattr__(self, "lambdas", lam)
 
     @property
@@ -141,6 +143,8 @@ def augmented_window_value(system: ConstrainedSystem, window, lam) -> float:
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     if lam.shape != (system.m,):
         raise DimensionError(f"lambda has shape {lam.shape}, expected ({system.m},)")
+    if not np.isfinite(lam).all():
+        raise DimensionError("lambda has non-finite entries")
     value = system.lagrangian.value(w)
     for alpha, phi in enumerate(system.constraints):
         value += lam[alpha] * phi.value(w)

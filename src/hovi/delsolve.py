@@ -42,12 +42,12 @@ class BoundaryData:
         tail = np.atleast_2d(np.asarray(self.tail, dtype=float))
         if head.shape != tail.shape:
             raise DimensionError("head and tail boundary blocks must have equal shape")
+        for i in (self.N, *self.pins):
+            if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+                raise DimensionError(f"node index {i!r} is not an integer")
         k = head.shape[0]
         if self.N <= 2 * k:
             raise DimensionError(f"need N > 2k, got N={self.N} with k={k}")
-        for i in self.pins:
-            if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
-                raise DimensionError(f"pin index {i!r} is not an integer")
         pins = {int(i): np.asarray(q, dtype=float) for i, q in self.pins.items()}
         if not all(np.isfinite(a).all() for a in (head, tail, *pins.values())):
             raise DimensionError("boundary data has non-finite entries")

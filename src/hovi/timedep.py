@@ -1,15 +1,15 @@
 """Time-dependent systems on R x Q.
 
-The time coordinate is stored as coordinate 0 of an extended
-configuration, so the whole DEL/geometry machinery applies unchanged.
-The weighted action multiplies each window value by the time span
+A time-dependent Lagrangian is a ``WindowFunction`` over the extended
+window: each node is (t, q), time in column 0, so partials, gradient
+checks and the whole DEL/geometry machinery apply unchanged.  The
+weighted action multiplies each window value by the time span
 t_{i+k} - t_i; stationarity in the time nodes yields the discrete
 energy balance.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -56,95 +56,74 @@ class TimedPath:
         return np.column_stack([self.times, self.nodes])
 
 
-@dataclass(frozen=True)
-class TimeDependentLagrangian:
-    """Window Lagrangian taking k+1 time values and k+1 configurations.
-
-    ``partials``, when given, holds k+1 gradient callables; the j-th maps
-    (times, configs) to the length-(n+1) gradient with respect to the
-    j-th extended node (time component first).  Free-time solves are
-    considerably more accurate with analytic gradients.
-    """
-
-    k: int
-    n: int
-    eval: Callable[[np.ndarray, np.ndarray], float]
-    partials: Optional[tuple] = None
-
-    def __post_init__(self):
-        if self.k < 1 or self.n < 1:
-            raise DimensionError("order and dimension must be positive")
-        if self.partials is not None:
-            object.__setattr__(self, "partials", tuple(self.partials))
-            if len(self.partials) != self.k + 1:
-                raise DimensionError(f"expected {self.k + 1} partials")
-
-
-def extend(system: TimeDependentLagrangian) -> ConstrainedSystem:
+def extend(lagrangian: WindowFunction) -> ConstrainedSystem:
     """Lift to an unconstrained system over R x Q with the span-weighted window value.
 
-    Time is coordinate 0 of each extended node.  Window constraints go
-    on the lifted Lagrangian directly:
-    ``ConstrainedSystem(k, n + 1, extend(system).lagrangian, constraints)``.
+    ``lagrangian`` is a window function over the extended window, time in
+    column 0, so Q has n - 1 >= 1 coordinates.  The lifted value is
+    (t_k - t_0) L.  Window constraints go on the lifted Lagrangian
+    directly: ``ConstrainedSystem(k, n, extend(lagrangian).lagrangian,
+    constraints)``.
     """
-    k, n = system.k, system.n
+    k, n = lagrangian.k, lagrangian.n
+    if n < 2:
+        raise DimensionError(f"a Lagrangian on R x Q needs n >= 2, got n={n}")
 
-    def weighted(window):
-        ts = window[:, 0]
-        qs = window[:, 1:]
-        return (ts[-1] - ts[0]) * system.eval(ts, qs)
+    def weighted(w):
+        return (w[-1, 0] - w[0, 0]) * lagrangian.eval(w)
 
     grads = None
-    if system.partials is not None:
+    if lagrangian.partials is not None:
         # Product rule: the span t_k - t_0 contributes +-L to the time
         # component of the first and last factors.
         def make(j):
-            def grad(window, j=j):
-                ts = window[:, 0]
-                qs = window[:, 1:]
-                g = (ts[-1] - ts[0]) * np.asarray(
-                    system.partials[j - 1](ts, qs), dtype=float
+            def grad(w, j=j):
+                g = (w[-1, 0] - w[0, 0]) * np.asarray(
+                    lagrangian.partials[j - 1](w), dtype=float
                 )
                 if j == k + 1:
-                    g = g.copy()
-                    g[0] += system.eval(ts, qs)
+                    g[0] += lagrangian.eval(w)
                 elif j == 1:
-                    g = g.copy()
-                    g[0] -= system.eval(ts, qs)
+                    g[0] -= lagrangian.eval(w)
                 return g
 
             return grad
 
         grads = tuple(make(j) for j in range(1, k + 2))
 
-    return ConstrainedSystem(k, n + 1, WindowFunction(k, n + 1, weighted, grads))
+    return ConstrainedSystem(k, n, WindowFunction(k, n, weighted, grads))
 
 
-def discrete_energy(system: TimeDependentLagrangian, times, nodes, i: int) -> float:
+def discrete_energy(lagrangian: WindowFunction, times, nodes, i: int) -> float:
     """Discrete energy conjugate to the step h_i = t_{i+1} - t_i.
 
-    Minus the derivative of the weighted window sums with respect to
+    ``lagrangian`` is a window function over the extended window, as for
+    ``extend``, and ``nodes`` holds its n - 1 spatial columns.  The energy
+    is minus the derivative of the weighted window sums with respect to
     h_i, accumulated over the k action windows containing that step.
     A sixth-order stencil with the step _ENERGY_STEP * h_i keeps the
     energy accurate well below the solver tolerances.
     """
-    k = system.k
+    k = lagrangian.k
     path = TimedPath(times, nodes)
-    times, nodes, N = path.times, path.nodes, path.N
+    if path.nodes.shape[1] != lagrangian.n - 1:
+        raise DimensionError(
+            f"nodes have {path.nodes.shape[1]} columns, expected {lagrangian.n - 1}"
+        )
+    ext, N = path.extended_nodes(), path.N
     if not k - 1 <= i <= N - k:
         raise DimensionError(f"energy node {i} outside range {k - 1}..{N - k}")
     energy = 0.0
     for s in range(i - k + 1, i + 1):
-        ts = times[s : s + k + 1]
-        qs = nodes[s : s + k + 1]
-        value = system.eval(ts, qs)
-        span = ts[-1] - ts[0]
-        eps = _ENERGY_STEP * (times[i + 1] - times[i])
+        w = ext[s : s + k + 1]
+        value = lagrangian.eval(w)
+        span = w[-1, 0] - w[0, 0]
+        eps = _ENERGY_STEP * (ext[i + 1, 0] - ext[i, 0])
 
-        def shifted(delta, ts=ts, qs=qs, s=s):
-            tt = ts.copy()
-            tt[i + 1 - s :] += delta
-            return system.eval(tt, qs)
+        def shifted(delta, w=w, s=s):
+            ww = w.copy()
+            ww[i + 1 - s :, 0] += delta
+            return lagrangian.eval(ww)
 
         dvalue = (
             shifted(3.0 * eps)
@@ -161,7 +140,7 @@ def discrete_energy(system: TimeDependentLagrangian, times, nodes, i: int) -> fl
 
 
 def solve_free_times(
-    system: TimeDependentLagrangian,
+    lagrangian: WindowFunction,
     head: TimedPath,
     tail: TimedPath,
     N: int,
@@ -174,9 +153,9 @@ def solve_free_times(
     staged: first the spatial equations alone along uniformly spread
     interior times, then the full problem from that warm start.
     """
-    extended = extend(system)
+    extended = extend(lagrangian)
     boundary = BoundaryData(head.extended_nodes(), tail.extended_nodes(), N).checked(
-        system.k, system.n + 1
+        lagrangian.k, lagrangian.n
     )
     nodes0, q_mask = initial_guess(boundary)
     q_mask[:, 0] = False
@@ -188,7 +167,7 @@ def solve_free_times(
 
 
 def solve_fixed_step(
-    system: TimeDependentLagrangian,
+    lagrangian: WindowFunction,
     h: float,
     t0: float,
     head,
@@ -205,9 +184,9 @@ def solve_fixed_step(
     """
     if not 0.0 < h < np.inf:
         raise DimensionError(f"step size must be positive and finite, got {h}")
-    boundary = BoundaryData(head, tail, N).checked(system.k, system.n)
+    boundary = BoundaryData(head, tail, N).checked(lagrangian.k, lagrangian.n - 1)
     nodes0, q_mask = initial_guess(boundary)
     nodes0 = TimedPath(t0 + h * np.arange(N + 1), nodes0).extended_nodes()
     q_mask = np.column_stack([np.zeros(N + 1, dtype=bool), q_mask])
-    path, _, report = solve_masked(extend(system), nodes0, q_mask, tol, max_iter)
+    path, _, report = solve_masked(extend(lagrangian), nodes0, q_mask, tol, max_iter)
     return TimedPath(path.nodes[:, 0], path.nodes[:, 1:]), report

@@ -45,7 +45,6 @@ from hovi.applications import (
     underactuated_to_constrained,
 )
 from hovi.timedep import (
-    TimeDependentLagrangian,
     TimedPath,
     discrete_energy,
     extend,
@@ -242,11 +241,11 @@ def test_criterion_5_momentum_conservation():
 
 def test_criterion_6_time_dependent_energy():
     # k=1 hand value on a linear path
-    def ev(ts, qs):
-        v = (qs[1, 0] - qs[0, 0]) / (ts[1] - ts[0])
+    def ev(w):
+        v = (w[1, 1] - w[0, 1]) / (w[1, 0] - w[0, 0])
         return 0.5 * v * v
 
-    kinetic = TimeDependentLagrangian(1, 1, ev)
+    kinetic = WindowFunction(1, 2, ev)
     v = 1.7
     times = np.array([0.0, 0.4, 0.9, 1.3])
     hand = discrete_energy(kinetic, times, v * times, 1)
@@ -289,10 +288,10 @@ def test_criterion_7_fixed_step_decoupling():
     # same way and the comparison isolates the decoupling identity
     auto = ConstrainedSystem(2, 1, WindowFunction(2, 1, base.lagrangian.eval), ())
 
-    def ev(ts, qs):
-        return auto.lagrangian.eval(qs)
+    def ev(w):
+        return auto.lagrangian.eval(w[:, 1:])
 
-    tdl = TimeDependentLagrangian(2, 1, ev)
+    tdl = WindowFunction(2, 2, ev)
     extended = extend(tdl)
     rng = np.random.default_rng(23)
     N = 7

@@ -12,6 +12,7 @@ from hovi.applications import (
     UnderactuatedSpec,
     beam_system,
     coupled_quadratic_lagrangian,
+    great_circle_state,
     recover_controls,
     solve_ocp,
     sphere_multiplier,
@@ -60,6 +61,19 @@ def test_sphere_multiplier_trivial_and_hand_value():
 
     with pytest.raises(DimensionError):
         sphere_multiplier(np.zeros((4, 3)), 1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "r, h", [(np.nan, 0.1), (1.0, np.inf), (0.0, 0.1), (1.0, 0.0)],
+    ids=["r-nan", "h-inf", "r-zero", "h-zero"],
+)
+def test_sphere_radius_and_step_must_be_finite_and_positive(r, h):
+    with pytest.raises(DimensionError, match="finite and positive"):
+        sphere_spline_system(r, h)
+    with pytest.raises(DimensionError, match="finite and positive"):
+        sphere_multiplier(np.zeros((5, 3)), r, h)
+    with pytest.raises(DimensionError, match="finite and positive"):
+        great_circle_state(r, h)
 
 
 def test_sphere_solution_matches_closed_form_multiplier():
@@ -119,7 +133,7 @@ def test_interpolation_action_nonincreasing_without_pin():
 def test_beam_vanishing_stiffness_rejected():
     system = beam_system(lambda t: 0.0, lambda t: 0.0)
     with pytest.raises(NumericError):
-        system.eval(np.array([0.0, 0.5, 1.0]), np.zeros((3, 1)))
+        system.eval(np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]]))
 
 
 def test_beam_analytic_gradients():
@@ -229,6 +243,9 @@ def test_recover_controls_shapes_and_linear_path():
     spec, times, head, tail = desk_ocp()
     with pytest.raises(DimensionError):
         recover_controls(spec, [0.0, 1.0], np.zeros((2, 2)))
+    for bad_times in ([0.0, 0.25, 0.2, 0.75], [0.0, 0.25, np.nan, 0.75]):
+        with pytest.raises(DimensionError):
+            recover_controls(spec, bad_times, np.zeros((4, 2)))
     # straight free motion with the potential switched off gives u = 0
     free = UnderactuatedSpec(
         2, 1, coupled_quadratic_lagrangian(2, np.zeros((2, 2))), lambda w2, u: 0.0

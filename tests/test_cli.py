@@ -459,8 +459,10 @@ def test_run_ocp_writes_controls(tmp_path):
 
 def test_readme_example_config_runs(tmp_path):
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    (block,) = re.findall(r"```json\n(.*?)```", readme, re.S)
-    path = write_config(tmp_path / "readme.json", json.loads(block))
-    out = tmp_path / "out"
-    assert cli.main(["run", path, "--out", str(out)]) == 0
-    assert json.loads((out / "diagnostics.json").read_text())["converged"] is True
+    blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+    assert blocks
+    for i, block in enumerate(blocks):
+        path = write_config(tmp_path / f"readme{i}.json", json.loads(block))
+        out = tmp_path / f"out{i}"
+        assert cli.main(["run", path, "--out", str(out)]) == 0
+        assert json.loads((out / "diagnostics.json").read_text())["converged"] is True

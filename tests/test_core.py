@@ -52,6 +52,17 @@ def test_discrete_path_and_multipliers():
         DiscretePath(np.zeros((2, 1))).window(0, 2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_multipliers_reject_non_finite_entries(bad):
+    lams = np.zeros((3, 1))
+    lams[1, 0] = bad
+    with pytest.raises(DimensionError, match="non-finite"):
+        MultiplierSequence(lams)
+    system = sphere_spline_system(1.0, 1.0)
+    with pytest.raises(DimensionError, match="non-finite"):
+        augmented_window_value(system, np.zeros((3, 3)), np.array([bad]))
+
+
 def test_augmented_window_value_no_constraints():
     lag = WindowFunction(1, 1, lambda w: 7.0)
     system = ConstrainedSystem(1, 1, lag, ())

@@ -107,6 +107,9 @@ def test_boundary_data_validation():
         BoundaryData(np.zeros((2, 1)), np.zeros((2, 1)), 4)  # N = 2k
     with pytest.raises(DimensionError):
         BoundaryData(np.zeros((2, 1)), np.zeros((1, 1)), 8)
+    for N in (10.0, True, "10"):
+        with pytest.raises(DimensionError, match="not an integer"):
+            BoundaryData(np.zeros((2, 1)), np.ones((2, 1)), N)
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,6 @@ from hovi.delsolve import BoundaryData, del_residual, solve_bvp
 from hovi.derivatives import check_gradient
 from hovi.errors import DimensionError
 from hovi.timedep import (
-    TimeDependentLagrangian,
     TimedPath,
     discrete_energy,
     extend,
@@ -20,21 +19,21 @@ from util_systems import oscillator_lagrangian
 def free_lagrangian():
     """k=1 kinetic Lagrangian on R x Q with analytic partials."""
 
-    def ev(ts, qs):
-        v = (qs[1, 0] - qs[0, 0]) / (ts[1] - ts[0])
+    def ev(w):
+        v = (w[1, 1] - w[0, 1]) / (w[1, 0] - w[0, 0])
         return 0.5 * v * v
 
-    def d1(ts, qs):
-        h = ts[1] - ts[0]
-        v = (qs[1, 0] - qs[0, 0]) / h
+    def d1(w):
+        h = w[1, 0] - w[0, 0]
+        v = (w[1, 1] - w[0, 1]) / h
         return np.array([v * v / h, -v / h])
 
-    def d2(ts, qs):
-        h = ts[1] - ts[0]
-        v = (qs[1, 0] - qs[0, 0]) / h
+    def d2(w):
+        h = w[1, 0] - w[0, 0]
+        v = (w[1, 1] - w[0, 1]) / h
         return np.array([-v * v / h, v / h])
 
-    return TimeDependentLagrangian(1, 1, ev, (d1, d2))
+    return WindowFunction(1, 2, ev, (d1, d2))
 
 
 def test_timed_path_validation():
@@ -57,15 +56,19 @@ def test_timed_path_rejects_non_finite_entries(bad):
 
 def test_lagrangian_partials_length_checked():
     with pytest.raises(DimensionError):
-        TimeDependentLagrangian(2, 1, lambda ts, qs: 0.0, (lambda ts, qs: None,))
+        WindowFunction(2, 2, lambda w: 0.0, (lambda w: None,))
 
 
 def test_extend_weight_is_time_span():
-    tdl = TimeDependentLagrangian(2, 1, lambda ts, qs: 1.0)
-    system = extend(tdl)
+    system = extend(WindowFunction(2, 2, lambda w: 1.0))
     assert system.n == 2
     window = np.array([[0.0, 5.0], [0.4, 6.0], [1.1, 7.0]])
     assert system.lagrangian.value(window) == pytest.approx(1.1, abs=1e-14)
+
+
+def test_extend_rejects_lagrangian_without_spatial_coordinates():
+    with pytest.raises(DimensionError, match="n >= 2"):
+        extend(WindowFunction(2, 1, lambda w: 1.0))
 
 
 def test_extend_composes_analytic_partials():
@@ -147,6 +150,8 @@ def test_discrete_energy_validation():
             discrete_energy(tdl, times, nodes, 2)
     with pytest.raises(DimensionError, match="non-finite"):
         discrete_energy(tdl, [0.0, 1.0, 2.0, np.nan], np.zeros(4), 1)
+    with pytest.raises(DimensionError, match="columns"):
+        discrete_energy(oscillator_lagrangian(), times, np.zeros((4, 2)), 1)
 
 
 def test_solve_fixed_step_matches_autonomous_solve():

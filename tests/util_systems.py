@@ -2,7 +2,6 @@
 import numpy as np
 
 from hovi.core import ConstrainedSystem, WindowFunction
-from hovi.timedep import TimeDependentLagrangian
 
 
 def free_particle(h: float = 1.0) -> ConstrainedSystem:
@@ -37,16 +36,16 @@ def second_difference_system(h: float = 1.0, n: int = 1) -> ConstrainedSystem:
     return ConstrainedSystem(2, n, WindowFunction(2, n, lag, (d1, d2, d1)), ())
 
 
-def oscillator_lagrangian(omega: float = 1.3) -> TimeDependentLagrangian:
+def oscillator_lagrangian(omega: float = 1.3) -> WindowFunction:
     """Autonomous k=1 oscillator on R x Q, midpoint quadrature."""
 
-    def lag(ts, qs):
-        h = ts[1] - ts[0]
-        v = (qs[1, 0] - qs[0, 0]) / h
-        qbar = 0.5 * (qs[0, 0] + qs[1, 0])
+    def lag(w):
+        h = w[1, 0] - w[0, 0]
+        v = (w[1, 1] - w[0, 1]) / h
+        qbar = 0.5 * (w[0, 1] + w[1, 1])
         return 0.5 * v * v - 0.5 * omega ** 2 * qbar * qbar
 
-    return TimeDependentLagrangian(1, 1, lag)
+    return WindowFunction(1, 2, lag)
 
 
 def desk_ocp():
