@@ -33,7 +33,9 @@ class WindowFunction:
 
     ``eval`` maps a (k+1, n) array to a float.  ``partials``, when given,
     is a sequence of k+1 callables; partials[j-1] returns the length-n
-    gradient with respect to the j-th window factor.
+    gradient with respect to the j-th window factor.  Every callable must
+    be a pure function of the window: the solvers reuse a window's terms
+    while its nodes are bitwise unchanged.
     """
 
     k: int

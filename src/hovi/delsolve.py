@@ -9,6 +9,7 @@ multiplier vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -133,6 +134,68 @@ class SolveReport:
     residual_history: list = field(default_factory=list)
 
 
+@lru_cache(maxsize=128)
+def _sweep_plan(k: int, size: int, lo: int, hi: int, values: bool):
+    """Index plan of _window_sweep: wins lists each window s (nodes s..s+k)
+    with its factors j whose node s+j-1 is a row lo..hi-1, every window
+    when values is set; terms lists per factor j, ascending, the slices of
+    rows and of windows it adds.
+    """
+    nwin = size - k
+    wins = [(s, [j for j in range(1, k + 2) if lo <= s + j - 1 < hi]) for s in range(nwin)]
+    wins = tuple((s, tuple(js)) for s, js in wins if js or values)
+    terms = []
+    for j in range(1, k + 2):
+        s0, s1 = max(0, lo - j + 1), min(nwin, hi - j + 1)
+        if s0 < s1:
+            terms.append((j - 1, slice(s0 + j - 1 - lo, s1 + j - 1 - lo), slice(s0, s1)))
+    return wins, tuple(terms)
+
+
+def _window_sweep(system: ConstrainedSystem, size: int, lo: int, hi: int, values=False):
+    """One memoized sweep over the windows of a block of size nodes.
+
+    Returns sweep(nodes, lambdas): the node gradients (see node_gradient)
+    at rows lo..hi-1 and, when values is set, the (windows, m) constraint
+    values, else None.  Per window it keeps D_j L, D_j phi_alpha and
+    phi_alpha, and recomputes a window only when its nodes differ bitwise
+    from the previous call's, so the window functions must be pure.  A
+    call that raises drops every kept term.
+    """
+    k, n, m = system.k, system.n, system.m
+    wins, terms = _sweep_plan(k, size, lo, hi, bool(values))
+    lag = np.zeros((size - k, k + 1, n))
+    con = np.zeros((m, size - k, k + 1, n))
+    val = np.zeros((size - k, m))
+    adds = [(rows, ws, lag[ws, j], con[:, ws, j]) for j, rows, ws in terms]
+    seen = None
+
+    def sweep(nodes, lambdas):
+        nonlocal seen
+        bits = nodes.view(np.int64)
+        moved = [True] * size if seen is None else (bits != seen).any(axis=1).tolist()
+        todo = [(s, js) for s, js in wins if True in moved[s : s + k + 1]]
+        seen = None
+        for s, js in todo:
+            w = nodes[s : s + k + 1]
+            for j in js:
+                lag[s, j - 1] = partial(system.lagrangian, j, w)
+                for alpha, phi in enumerate(system.constraints):
+                    con[alpha, s, j - 1] = partial(phi, j, w)
+            if values:
+                val[s] = [phi.value(w) for phi in system.constraints]
+        seen = bits.copy()
+        grads = np.zeros((hi - lo, n))
+        for rows, ws, lag_j, con_j in adds:
+            g = grads[rows]
+            g += lag_j
+            for alpha in range(m):
+                g += lambdas[ws, alpha, None] * con_j[alpha]
+        return grads, (val.copy() if values else None)
+
+    return sweep
+
+
 def node_gradient(
     system: ConstrainedSystem,
     nodes: np.ndarray,
@@ -146,16 +209,10 @@ def node_gradient(
     holds nodes[s : s+k+1] and pairs with lambdas[s].  At an interior
     node this is the DEL residual; on the 2k nodes of a step state its
     first k rows are minus theta_minus and its last k rows theta_plus.
+    The one-row case of _window_sweep.
     """
-    k = system.k
-    res = np.zeros(system.n)
-    for j in range(max(1, p + k + 2 - nodes.shape[0]), min(p, k) + 2):
-        s = p - j + 1
-        window = nodes[s : s + k + 1]
-        res += partial(system.lagrangian, j, window)
-        for alpha, phi in enumerate(system.constraints):
-            res += lambdas[s, alpha] * partial(phi, j, window)
-    return res
+    nodes = np.asarray(nodes, dtype=float)
+    return _window_sweep(system, nodes.shape[0], p, p + 1)(nodes, lambdas)[0][0]
 
 
 def del_residual(
@@ -362,19 +419,13 @@ def solve_masked(
     if q_mask[:k].any() or q_mask[N - k + 1 :].any():
         raise DimensionError("boundary nodes cannot be unknowns")
     nq = int(q_mask.sum())
-    eq_rows = [p for p in range(k, N - k + 1) if q_mask[p].any()]
+    sweep = _window_sweep(system, N + 1, k, N - k + 1, values=True)
 
     def residual(x):
         nodes = nodes0.copy()
         nodes[q_mask] = x[:nq]
-        lams = x[nq:].reshape(nwin, m)
-        parts = [
-            node_gradient(system, nodes, lams, p)[q_mask[p]] for p in eq_rows
-        ]
-        for i in range(nwin):
-            window = nodes[i : i + k + 1]
-            parts.append(np.array([phi.value(window) for phi in system.constraints]))
-        return np.concatenate(parts) if parts else np.zeros(0)
+        grads, vals = sweep(nodes, x[nq:].reshape(nwin, m))
+        return np.concatenate([grads[q_mask[k : N - k + 1]], vals.ravel()])
 
     x0 = np.concatenate([nodes0[q_mask], np.zeros(nwin * m)])
 
@@ -481,11 +532,13 @@ def _step_equations(system: ConstrainedSystem, state: StepState):
     # 2k, any later factors repeating it.
     rows = [np.minimum(np.arange(2 * k - js + 1, 3 * k - js + 2), 2 * k) for js in jstar]
 
+    sweep = _window_sweep(system, 2 * k + 1, k, k + 1)
+
     def residual(x):
         local = nodes.copy()
         local[2 * k] = x[:n]
         lams = np.vstack([state.multipliers, x[n:].reshape(1, m)])
-        r = node_gradient(system, local, lams, k)
+        r = sweep(local, lams)[0][0]
         c = np.array([phi.value(local[w]) for phi, w in zip(system.constraints, rows)])
         return np.concatenate([r, c])
 

@@ -18,8 +18,8 @@ from .delsolve import (
     StepState,
     _regular_svd,
     _step_equations,
+    _window_sweep,
     constraint_gradients,
-    node_gradient,
     step,
 )
 # partial is not called here; perfbench/tracing.py wraps it under this name.
@@ -62,13 +62,24 @@ def translation_action(n: int) -> GroupAction:
     return GroupAction(tuple(make(a) for a in range(n)))
 
 
-def _node_gradients(system, point, rows):
-    """Node gradients of the state's block at the given rows, zero elsewhere."""
-    point.checked(system)
-    coeff = np.zeros((2 * system.k, system.n))
-    for i in rows:
-        coeff[i] = node_gradient(system, point.configs, point.multipliers, i)
-    return coeff.ravel()
+def _theta_map(system, side):
+    """theta_plus or theta_minus, as side names, as a function of the state.
+
+    One memoized window sweep serves every call of the returned function.
+    """
+    if side not in ("plus", "minus"):
+        raise DimensionError(f"expected side 'plus' or 'minus', got {side!r}")
+    k = system.k
+    lo = k if side == "plus" else 0
+    sweep = _window_sweep(system, 2 * k, lo, lo + k)
+
+    def theta(point):
+        point.checked(system)
+        coeff = np.zeros((2 * k, system.n))
+        coeff[lo : lo + k] = sweep(point.configs, point.multipliers)[0]
+        return coeff.ravel() if side == "plus" else -coeff.ravel()
+
+    return theta
 
 
 def theta_minus(system: ConstrainedSystem, point: StepState) -> np.ndarray:
@@ -77,7 +88,7 @@ def theta_minus(system: ConstrainedSystem, point: StepState) -> np.ndarray:
     Minus the node gradient of the augmented action of the state's
     windows on the first k nodes, zero on the last k.
     """
-    return -_node_gradients(system, point, range(system.k))
+    return _theta_map(system, "minus")(point)
 
 
 def theta_plus(system: ConstrainedSystem, point: StepState) -> np.ndarray:
@@ -88,20 +99,7 @@ def theta_plus(system: ConstrainedSystem, point: StepState) -> np.ndarray:
     node p-k minus theta_minus of the state at node p gives, at node p,
     the DEL residual there.
     """
-    return _node_gradients(system, point, range(system.k, 2 * system.k))
-
-
-def _theta(system, point, side):
-    """theta_plus or theta_minus at the point, as side names."""
-    if side not in ("plus", "minus"):
-        raise DimensionError(f"expected side 'plus' or 'minus', got {side!r}")
-    return (theta_plus if side == "plus" else theta_minus)(system, point)
-
-
-def _theta_of_coords(system, z, which):
-    k, n, m = system.k, system.n, system.m
-    th = _theta(system, StepState.unflatten(z, k, n, m), which)
-    return np.concatenate([th, np.zeros(k * m)])
+    return _theta_map(system, "plus")(point)
 
 
 def omega_matrix(
@@ -114,8 +112,12 @@ def omega_matrix(
     antisymmetric by construction.
     """
     point.checked(system)
+    k, n, m = system.k, system.n, system.m
+    theta = _theta_map(system, which)
     jac = central_difference(
-        lambda z: _theta_of_coords(system, z, which), point.flatten(), FD_STEP
+        lambda z: np.concatenate([theta(StepState.unflatten(z, k, n, m)), np.zeros(k * m)]),
+        point.flatten(),
+        FD_STEP,
     )
     if not np.isfinite(jac).all():
         raise NumericError("non-finite differencing in omega_matrix")
@@ -203,7 +205,7 @@ def momentum(
 ) -> np.ndarray:
     """Pairing of the boundary one-form with the lifted generators."""
     k, n = system.k, system.n
-    coeff = _theta(system, point, side).reshape(2 * k, n)
+    coeff = _theta_map(system, side)(point).reshape(2 * k, n)
     out = np.empty(action.dim)
     for a, gen in enumerate(action.generators):
         val = 0.0

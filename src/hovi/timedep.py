@@ -39,6 +39,8 @@ class TimedPath:
         nodes = np.asarray(self.nodes, dtype=float)
         if nodes.ndim == 1:
             nodes = nodes[:, None]
+        if nodes.ndim != 2:
+            raise DimensionError(f"timed path nodes must be 1-D or 2-D, got shape {nodes.shape}")
         if times.ndim != 1 or times.shape[0] != nodes.shape[0]:
             raise DimensionError("times and nodes must have matching lengths")
         if not (np.isfinite(times).all() and np.isfinite(nodes).all()):

@@ -21,8 +21,13 @@ from hovi.delsolve import (
     step,
 )
 from hovi.derivatives import partial
-from hovi.errors import DimensionError, NonConvergenceError, RegularityError
-from hovi.applications import beam_system, solve_ocp, sphere_spline_system
+from hovi.errors import DimensionError, NonConvergenceError, NumericError, RegularityError
+from hovi.applications import (
+    beam_system,
+    solve_ocp,
+    sphere_spline_system,
+    underactuated_to_constrained,
+)
 from hovi.geometry import theta_minus, theta_plus
 from hovi.timedep import TimedPath, solve_free_times
 
@@ -553,3 +558,120 @@ def test_newton_solve_scalar_quadratic():
     x, report = newton_solve(lambda x: np.array([x[0] ** 2 - 4.0]), np.array([3.0]))
     assert report.converged
     assert x[0] == pytest.approx(2.0, abs=1e-10)
+
+
+class _Captured(Exception):
+    pass
+
+
+def masked_residual(monkeypatch, system, nodes0, q_mask):
+    """A freshly built solve_masked residual and its starting point and pattern."""
+    got = []
+
+    def capture(residual, x0, tol, max_iter, pattern):
+        got.append((residual, x0, pattern))
+        raise _Captured
+
+    monkeypatch.setattr(delsolve, "newton_solve", capture)
+    with pytest.raises(_Captured):
+        delsolve.solve_masked(system, nodes0, q_mask)
+    return got[0]
+
+
+def sphere_masked():
+    nodes = circle_nodes(range(9), theta=0.15)
+    boundary = BoundaryData(nodes[:2], nodes[-2:], 8)
+    return (sphere_spline_system(1.0, 0.1), *delsolve.initial_guess(boundary))
+
+
+def pinned_polynomial_masked():
+    rng = np.random.default_rng(3)
+    ends = rng.normal(size=(2, 3, 2))
+    boundary = BoundaryData(ends[0], ends[1], 10, {5: rng.normal(size=2)})
+    return (polynomial_system(3, 2, 1, seed=7, degree=4), *delsolve.initial_guess(boundary))
+
+
+def ocp_masked():
+    # solve_ocp's unknowns: the time column stays fixed.
+    spec, times, head, tail = desk_ocp()
+    times = times[:7]
+    N = len(times) - 1
+    nodes0, q_mask = delsolve.initial_guess(BoundaryData(head, tail, N))
+    nodes0 = TimedPath(times, nodes0).extended_nodes()
+    q_mask = np.column_stack([np.zeros(N + 1, dtype=bool), q_mask])
+    return underactuated_to_constrained(spec), nodes0, q_mask
+
+
+@pytest.mark.parametrize(
+    "case", [sphere_masked, pinned_polynomial_masked, ocp_masked], ids=["sphere", "pinned-k3", "ocp"]
+)
+def test_memoized_residual_equals_fresh_evaluation(monkeypatch, case):
+    system, nodes0, q_mask = case()
+    residual, x0, pattern = masked_residual(monkeypatch, system, nodes0, q_mask)
+    rng = np.random.default_rng(1)
+    h = 1e-7 * np.maximum(1.0, np.abs(x0))
+    points = [x0, x0 + 1e-3 * rng.normal(size=x0.size), x0 + 1e-3 * rng.normal(size=x0.size)]
+    for group in derivatives._column_groups(pattern)[:4]:
+        for sign in (1.0, -1.0):
+            x = x0.copy()
+            x[group] += sign * h[group]
+            points.append(x)
+    points.append(x0)
+    for x in points:
+        fresh = masked_residual(monkeypatch, system, nodes0, q_mask)[0]
+        assert np.array_equal(residual(x), fresh(x))
+    # Every window moves, and a partial on the last unknown node raises
+    # after the earlier windows are evaluated; the base point then must
+    # not see any of their terms.
+    bad = x0 + 1e-3 * rng.normal(size=x0.size)
+    bad[int(q_mask.sum()) - 1] = np.nan
+    with pytest.raises(NumericError):
+        residual(bad)
+    fresh = masked_residual(monkeypatch, system, nodes0, q_mask)[0]
+    assert np.array_equal(residual(x0), fresh(x0))
+
+
+def counted_partials(f, calls):
+    """f with each analytic partial call appended to calls."""
+
+    def counted(g):
+        def partial_j(w):
+            calls.append(1)
+            return g(w)
+
+        return partial_j
+
+    return WindowFunction(f.k, f.n, f.eval, tuple(counted(g) for g in f.partials))
+
+
+def counted_sphere():
+    sphere = sphere_spline_system(1.0, 0.1)
+    lag_calls, con_calls = [], []
+    system = ConstrainedSystem(
+        sphere.k,
+        sphere.n,
+        counted_partials(sphere.lagrangian, lag_calls),
+        tuple(counted_partials(phi, con_calls) for phi in sphere.constraints),
+    )
+    return system, lag_calls, con_calls
+
+
+def test_bvp_reevaluates_only_moved_windows():
+    # 7,599 Lagrangian partial calls when every residual evaluates every window.
+    system, lag_calls, _ = counted_sphere()
+    nodes = circle_nodes(range(21), theta=1.2 / 20)
+    _, _, report = solve_bvp(system, BoundaryData(nodes[:2], nodes[-2:], 20))
+    assert report.converged
+    assert len(lag_calls) <= 4100
+
+
+def test_step_residual_reevaluates_only_the_last_window():
+    system, lag_calls, con_calls = counted_sphere()
+    state = StepState(circle_nodes(range(4), theta=0.05), np.zeros((2, 1)))
+    residual, x0 = delsolve._step_equations(system, state)
+    residual(x0)
+    del lag_calls[:], con_calls[:]
+    x = x0.copy()
+    x[0] += 1e-7
+    residual(x)
+    assert (len(lag_calls), len(con_calls)) == (1, 1)

@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
 
+from hovi.applications import (
+    UnderactuatedSpec,
+    coupled_quadratic_lagrangian,
+    recover_controls,
+)
 from hovi.core import DiscretePath, MultiplierSequence, WindowFunction
 from hovi.delsolve import BoundaryData, del_residual, solve_bvp
 from hovi.derivatives import check_gradient
@@ -52,6 +57,19 @@ def test_timed_path_rejects_non_finite_entries(bad):
         TimedPath([0.0, bad], np.zeros(2))
     with pytest.raises(DimensionError, match="non-finite"):
         TimedPath([0.0, 1.0], [0.0, bad])
+
+
+def test_timed_path_rejects_nodes_beyond_two_dimensions():
+    with pytest.raises(DimensionError, match="1-D or 2-D"):
+        TimedPath([0.0, 1.0], np.zeros((2, 1, 1)))
+    times = [0.0, 0.4, 0.9, 1.3]
+    with pytest.raises(DimensionError, match="1-D or 2-D"):
+        discrete_energy(oscillator_lagrangian(), times, np.zeros((4, 1, 1)), 1)
+    spec = UnderactuatedSpec(
+        2, 1, coupled_quadratic_lagrangian(2, np.zeros((2, 2))), lambda w2, u: 0.0
+    )
+    with pytest.raises(DimensionError, match="1-D or 2-D"):
+        recover_controls(spec, times, np.zeros((4, 2, 1)))
 
 
 def test_lagrangian_partials_length_checked():
