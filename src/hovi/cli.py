@@ -562,12 +562,12 @@ def check_command(cfg: dict) -> int:
             1e-6,
         )
     if name == "sphere-spline":
-        state = great_circle_state(r, h)
-        srep = check_symplecticity(system, state)
+        state, tol = great_circle_state(r, h), cfg["solver"]["tol"]
+        srep = check_symplecticity(system, state, tol=tol)
         add("symplectic_restricted_defect", srep.defect_norm, 1e-4)
         traj = [state]
         for _ in range(10):
-            nxt, _ = step(system, traj[-1])
+            nxt, _ = step(system, traj[-1], tol=tol)
             traj.append(nxt)
         add(
             "momentum_drift",

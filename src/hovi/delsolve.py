@@ -508,25 +508,24 @@ def solve_bvp(
 
 
 def _step_equations(system: ConstrainedSystem, state: StepState):
-    """The one-step map's equations residual(x) = 0 from state, and a guess x0.
+    """The one-step map's equations G(z, x) = 0 near state, and a guess x0.
 
-    x is the new node and its multiplier vector.  The residual stacks the
-    DEL residual at the centre node of the extended 2k+1 window and, per
-    constraint, that constraint through the last window factor it reads,
-    so the equation pins the new node: on the final window for a
-    constraint on its last factor, at the new node alone for a first-node
-    constraint such as the sphere's.  x0 extrapolates the last two nodes.
+    z is a state's coordinates (flatten order), x the new node and its
+    multipliers.  G stacks the DEL residual at the centre node of the
+    extended 2k+1 window and, per constraint, that constraint through the
+    last window factor it reads at state, so the equation pins the new
+    node: on the final window for a constraint on its last factor, at the
+    new node alone for a first-node constraint such as the sphere's.  x0
+    extrapolates the last two nodes.
     """
     k, n, m = system.k, system.n, system.m
-    state.checked(system)
-    nodes = np.zeros((2 * k + 1, n))
-    nodes[: 2 * k] = state.configs
-    nodes[2 * k] = 2.0 * state.configs[-1] - state.configs[-2]
+    nq = state.checked(system).configs.size
+    guess = 2.0 * state.configs[-1] - state.configs[-2]
 
     # Last factor through which each constraint sees a node: determines
     # which window's constraint equation involves the new point.
     # A constraint that reads no factor takes k+1; its row of G_x is zero.
-    reads = _constraint_reads(system, nodes[k:]).any(axis=2)
+    reads = _constraint_reads(system, np.vstack([state.configs[k:], guess])).any(axis=2)
     jstar = [k + 1 - int(np.argmax(r[::-1])) for r in reads]
     # Window rows of each constraint equation: factor js on the new node
     # 2k, any later factors repeating it.
@@ -534,15 +533,14 @@ def _step_equations(system: ConstrainedSystem, state: StepState):
 
     sweep = _window_sweep(system, 2 * k + 1, k, k + 1)
 
-    def residual(x):
-        local = nodes.copy()
-        local[2 * k] = x[:n]
-        lams = np.vstack([state.multipliers, x[n:].reshape(1, m)])
+    def equations(z, x):
+        local = np.concatenate([z[:nq], x[:n]]).reshape(2 * k + 1, n)
+        lams = np.concatenate([z[nq:], x[n:]]).reshape(k + 1, m)
         r = sweep(local, lams)[0][0]
         c = np.array([phi.value(local[w]) for phi, w in zip(system.constraints, rows)])
         return np.concatenate([r, c])
 
-    return residual, np.concatenate([nodes[2 * k], state.multipliers[-1]])
+    return equations, np.concatenate([guess, state.multipliers[-1]])
 
 
 def step(
@@ -553,8 +551,9 @@ def step(
 ):
     """Advance the one-step map by one node: solve _step_equations, then shift."""
     n, m = system.n, system.m
-    residual, x0 = _step_equations(system, state)
-    x, report = newton_solve(residual, x0, tol=tol, max_iter=max_iter)
+    equations, x0 = _step_equations(system, state)
+    z = state.flatten()
+    x, report = newton_solve(lambda x: equations(z, x), x0, tol=tol, max_iter=max_iter)
     new_configs = np.vstack([state.configs[1:], x[:n].reshape(1, n)])
     new_mult = np.vstack([state.multipliers[1:], x[n:].reshape(1, m)])
     return StepState(new_configs, new_mult), report

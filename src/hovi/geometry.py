@@ -63,21 +63,23 @@ def translation_action(n: int) -> GroupAction:
 
 
 def _theta_map(system, side):
-    """theta_plus or theta_minus, as side names, as a function of the state.
+    """theta_plus or theta_minus, as side names, as a function theta(z).
 
-    One memoized window sweep serves every call of the returned function.
+    z is the coordinates of a state (StepState.flatten order); theta(z)
+    holds the one-form's coefficients over all 2k*n + k*m of them, zero on
+    the multipliers.  One memoized window sweep serves every call.
     """
     if side not in ("plus", "minus"):
         raise DimensionError(f"expected side 'plus' or 'minus', got {side!r}")
-    k = system.k
+    k, n, m = system.k, system.n, system.m
     lo = k if side == "plus" else 0
     sweep = _window_sweep(system, 2 * k, lo, lo + k)
 
-    def theta(point):
-        point.checked(system)
-        coeff = np.zeros((2 * k, system.n))
-        coeff[lo : lo + k] = sweep(point.configs, point.multipliers)[0]
-        return coeff.ravel() if side == "plus" else -coeff.ravel()
+    def theta(z):
+        coeff = np.zeros(z.size)
+        grads = sweep(z[: 2 * k * n].reshape(2 * k, n), z[2 * k * n :].reshape(k, m))[0]
+        coeff[lo * n : (lo + k) * n] = grads.ravel()
+        return coeff if side == "plus" else -coeff
 
     return theta
 
@@ -88,7 +90,8 @@ def theta_minus(system: ConstrainedSystem, point: StepState) -> np.ndarray:
     Minus the node gradient of the augmented action of the state's
     windows on the first k nodes, zero on the last k.
     """
-    return _theta_map(system, "minus")(point)
+    z = point.checked(system).flatten()
+    return _theta_map(system, "minus")(z)[: 2 * system.k * system.n]
 
 
 def theta_plus(system: ConstrainedSystem, point: StepState) -> np.ndarray:
@@ -99,7 +102,8 @@ def theta_plus(system: ConstrainedSystem, point: StepState) -> np.ndarray:
     node p-k minus theta_minus of the state at node p gives, at node p,
     the DEL residual there.
     """
-    return _theta_map(system, "plus")(point)
+    z = point.checked(system).flatten()
+    return _theta_map(system, "plus")(z)[: 2 * system.k * system.n]
 
 
 def omega_matrix(
@@ -111,14 +115,8 @@ def omega_matrix(
     2k*n + k*m coordinates (configs first, multipliers after);
     antisymmetric by construction.
     """
-    point.checked(system)
-    k, n, m = system.k, system.n, system.m
-    theta = _theta_map(system, which)
-    jac = central_difference(
-        lambda z: np.concatenate([theta(StepState.unflatten(z, k, n, m)), np.zeros(k * m)]),
-        point.flatten(),
-        FD_STEP,
-    )
+    z = point.checked(system).flatten()
+    jac = central_difference(_theta_map(system, which), z, FD_STEP)
     if not np.isfinite(jac).all():
         raise NumericError("non-finite differencing in omega_matrix")
     return jac - jac.T
@@ -144,24 +142,20 @@ def _constraint_jacobian(system, point):
 def _step_map_jacobian(system, state, next_state):
     """Jacobian of the one-step map at state, next_state being its image.
 
-    The new node and multiplier x solve G(x; z) = 0, the step equations
-    of the state with coordinates z, so dx/dz = -G_x^{-1} G_z with both
-    partials by central differencing (step FD_STEP) at the solved point;
-    a G_x that fails _regular_svd raises RegularityError.  The other rows
-    shift the state by one node, in flatten order.
+    The new node and multiplier x solve G(z, x) = 0, the step equations at
+    the state coordinates z, so dx/dz = -G_x^{-1} G_z, where [G_z G_x] is
+    one central difference (step FD_STEP) over the stacked (z, x) at the
+    solved point; a G_x that fails _regular_svd raises RegularityError.
+    The other rows shift the state by one node, in flatten order.
     """
-    k, n, m = system.k, system.n, system.m
+    n, m = system.n, system.m
     z = state.flatten()
+    dim, nq = z.size, 2 * system.k * n
     x = np.concatenate([next_state.configs[-1], next_state.multipliers[-1]])
-
-    def equations(w):  # G(.; w), the step equations of the state with coordinates w
-        return _step_equations(system, StepState.unflatten(w, k, n, m))[0]
-
-    g_x = central_difference(equations(z), x, FD_STEP)
-    g_z = central_difference(lambda w: equations(w)(x), z, FD_STEP)
-    _regular_svd(g_x, "step equations at the solved point")
-    dx_dz = -np.linalg.solve(g_x, g_z)
-    nq, dim = 2 * k * n, z.size
+    equations = _step_equations(system, state)[0]
+    g = central_difference(lambda w: equations(w[:dim], w[dim:]), np.r_[z, x], FD_STEP)
+    _regular_svd(g[:, dim:], "step equations at the solved point")
+    dx_dz = -np.linalg.solve(g[:, dim:], g[:, :dim])
     jac = np.zeros((dim, dim))
     jac[np.r_[: nq - n, nq : dim - m], np.r_[n:nq, nq + m : dim]] = 1.0
     jac[np.r_[nq - n : nq, dim - m : dim]] = dx_dz
@@ -174,27 +168,22 @@ def check_symplecticity(
     """Defect of the pullback of the two-form under the one-step map.
 
     Runs one step (to tol) and takes the map's Jacobian A from the step
-    equations at the solved point (_step_map_jacobian).  Unconstrained:
-    || A^T Omega(next) A - Omega(state) ||_F.  Constrained: the same
-    defect restricted to a numerical kernel basis of the constraint
-    Jacobian (tangent space of the constraint set).
+    equations at the solved point (_step_map_jacobian).  The defect is
+    || B^T (A^T Omega(next) A - Omega(state)) B ||_F with B a numerical
+    kernel basis of the constraint Jacobian (tangent space of the
+    constraint set); without constraints B is the identity and the
+    defect is taken on the full space.
     """
     next_state, _ = step(system, state, tol=tol)
     jac = _step_map_jacobian(system, state, next_state)
     omega_here = omega_matrix(system, state)
     omega_next = omega_matrix(system, next_state)
-
-    if system.m == 0:
-        defect = jac.T @ omega_next @ jac - omega_here
-        return SymplecticityReport(float(np.linalg.norm(defect)), restricted=False)
-
-    cjac = _constraint_jacobian(system, state)
-    _, sv, vt = np.linalg.svd(cjac)
+    _, sv, vt = np.linalg.svd(_constraint_jacobian(system, state))
     rank = int(np.sum(sv > max(1e-10, sv[0] * 1e-12))) if sv.size else 0
     basis = vt[rank:].T
     av = jac @ basis
     defect = av.T @ omega_next @ av - basis.T @ omega_here @ basis
-    return SymplecticityReport(float(np.linalg.norm(defect)), restricted=True)
+    return SymplecticityReport(float(np.linalg.norm(defect)), restricted=system.m > 0)
 
 
 def momentum(
@@ -205,7 +194,8 @@ def momentum(
 ) -> np.ndarray:
     """Pairing of the boundary one-form with the lifted generators."""
     k, n = system.k, system.n
-    coeff = _theta_map(system, side)(point).reshape(2 * k, n)
+    z = point.checked(system).flatten()
+    coeff = _theta_map(system, side)(z)[: 2 * k * n].reshape(2 * k, n)
     out = np.empty(action.dim)
     for a, gen in enumerate(action.generators):
         val = 0.0

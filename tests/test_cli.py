@@ -211,6 +211,16 @@ def test_check_sphere_diagnostics(tmp_path, capsys):
     assert by_name["momentum_drift"]["value"] < 1e-8
 
 
+def test_check_small_step_sphere_steps_at_solver_tol(tmp_path, capsys):
+    # At h = 0.025 the step residual stalls near 3e-12: stepping at 1e-12
+    # instead of solver.tol found no decrease and exited 2 with no checks.
+    path = sphere_config(tmp_path, params={"r": 1.0, "h": 0.025, "N": 10})
+    assert cli.main(["check", path]) == 0
+    by_name = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert by_name["symplectic_restricted_defect"]["value"] < 1e-4
+    assert by_name["momentum_drift"]["value"] < 1e-8
+
+
 def test_polynomial_system_seed_reproducible():
     a = polynomial_system(1, 2, 1, seed=5)
     b = polynomial_system(1, 2, 1, seed=5)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hovi import geometry
+from hovi import delsolve, geometry
 from hovi.core import ConstrainedSystem, WindowFunction
 from hovi.delsolve import StepState, step
 from hovi.derivatives import central_difference
@@ -195,6 +195,26 @@ def test_check_symplecticity_runs_one_step(monkeypatch):
     assert len(calls) == 1
 
 
+def test_check_symplecticity_builds_the_step_equations_twice(monkeypatch):
+    # Once in step, once in _step_map_jacobian: the differenced states
+    # reuse the read structure fixed at the state.
+    builds, probes = [], []
+
+    def counted(calls, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(1)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    build = counted(builds, delsolve._step_equations)
+    monkeypatch.setattr(delsolve, "_step_equations", build)
+    monkeypatch.setattr(geometry, "_step_equations", build)
+    monkeypatch.setattr(delsolve, "_constraint_reads", counted(probes, delsolve._constraint_reads))
+    check_symplecticity(sphere_spline_system(1.0, 0.1), great_circle_state(1.0, 0.1))
+    assert (len(builds), len(probes)) == (2, 2)
+
+
 def test_check_symplecticity_singular_step_equations():
     # The zero Lagrangian's step equations vanish for every new node: the
     # guess solves them without a Newton iteration, but they define no map.
@@ -256,6 +276,54 @@ def test_sphere_restricted_defect_at_small_step():
         report = check_symplecticity(system, states[i])
         assert report.restricted
         assert report.defect_norm < 1e-5, (i, report.defect_norm)
+
+
+def norm_preserving_system(h=0.1):
+    """k=1, n=2 oscillator whose constraint |q_1|^2 - |q_0|^2 reads both nodes."""
+
+    def lag(w):
+        d = w[1] - w[0]
+        return float(d @ d) / (2.0 * h) - h * float(w[0] @ w[0]) / 2.0
+
+    lagrangian = WindowFunction(
+        1, 2, lag, (lambda w: (w[0] - w[1]) / h - h * w[0], lambda w: (w[1] - w[0]) / h)
+    )
+    phi = WindowFunction(
+        1,
+        2,
+        lambda w: float(w[1] @ w[1] - w[0] @ w[0]),
+        (lambda w: -2.0 * w[0], lambda w: 2.0 * w[1]),
+    )
+    return ConstrainedSystem(1, 2, lagrangian, (phi,))
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3])
+def test_symplecticity_under_a_constraint_reading_two_nodes(lam):
+    system = norm_preserving_system()
+    configs = np.array([[1.0, 0.0], [np.cos(0.1), np.sin(0.1)]])
+    states = [StepState(configs, [[lam]])]
+    for _ in range(20):
+        states.append(step(system, states[-1])[0])
+    for state in (states[0], states[-1]):
+        report = check_symplecticity(system, state)
+        assert report.restricted
+        assert report.defect_norm < 1e-8
+    norms = np.linalg.norm([st.configs for st in states], axis=2)
+    assert np.max(np.abs(norms - 1.0)) < 1e-9
+
+
+def test_unconstrained_defect_is_the_full_space_formula():
+    # Without constraints the kernel basis is numpy's SVD of a (0, dim)
+    # matrix, the identity, and the projected defect is the plain one.
+    system = second_difference_system(h=0.7, n=2)
+    state = StepState(np.random.default_rng(5).normal(size=(4, 2)), np.zeros((2, 0)))
+    report = check_symplecticity(system, state)
+    next_state, _ = step(system, state, tol=1e-12)
+    jac = geometry._step_map_jacobian(system, state, next_state)
+    omega_next = omega_matrix(system, next_state)
+    defect = np.linalg.norm(jac.T @ omega_next @ jac - omega_matrix(system, state))
+    assert not report.restricted
+    assert report.defect_norm == float(defect)
 
 
 def test_rotation_generators_equal_cross_products():
