@@ -17,7 +17,7 @@ import logging
 import os
 import re
 import sys
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -52,7 +52,9 @@ EXIT_CONFIG = 1
 EXIT_NONCONVERGENCE = 2
 EXIT_REGULARITY = 3
 
-_SYSTEMS = ("sphere-spline", "beam", "ocp", "custom-polynomial")
+# The boundary blocks a system reads, in the order they are validated.
+_ENDS = ("head", "tail")
+_TIMED_ENDS = ("head_times", "head", "tail_times", "tail")
 
 
 class ConfigError(Exception):
@@ -62,10 +64,10 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 # config handling
 
-def _require_keys(d: dict, allowed: set, required: set, where: str) -> None:
+def _require_keys(d: dict, allowed: Iterable[str], required: set, where: str) -> None:
     if not isinstance(d, dict):
         raise ConfigError(f"{where} must be a JSON object")
-    unknown = set(d) - allowed
+    unknown = set(d).difference(allowed)
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
     missing = required - set(d)
@@ -114,6 +116,14 @@ def _flag(value, name: str) -> bool:
     return value
 
 
+def _file_name(value, name: str) -> str:
+    """A plain file name: a non-empty string, no path separator or NUL, not . or .."""
+    plain = type(value) is str and value not in ("", ".", "..") and "\0" not in value
+    if not plain or os.path.basename(value) != value:
+        raise ConfigError(f"{name} must be a plain file name, got {value!r}")
+    return value
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -130,14 +140,11 @@ def load_config(path: str) -> dict:
         {"system", "params"},
         "config",
     )
-    if cfg["system"] not in _SYSTEMS:
-        raise ConfigError(f"unknown system {cfg['system']!r}, expected one of {_SYSTEMS}")
+    if cfg["system"] not in tuple(_SYSTEMS):
+        raise ConfigError(f"unknown system {cfg['system']!r}, expected one of {tuple(_SYSTEMS)}")
     if "pins" in cfg and cfg["system"] != "sphere-spline":
         raise ConfigError(f"pins are not supported for system {cfg['system']!r}")
-    boundary_keys = {"head", "tail"}
-    if cfg["system"] == "beam":
-        boundary_keys |= {"head_times", "tail_times"}
-    _require_keys(cfg.get("boundary", {}), boundary_keys, set(), "boundary")
+    _require_keys(cfg.get("boundary", {}), _SYSTEMS[cfg["system"]][0], set(), "boundary")
     solver = cfg.get("solver", {})
     _require_keys(solver, {"tol", "max_iter"}, set(), "solver")
     tol = _tolerance(solver.get("tol", DEFAULT_TOL), "solver.tol")
@@ -154,9 +161,11 @@ def load_config(path: str) -> dict:
     output = cfg.get("output", {})
     _require_keys(output, {"trajectory", "diagnostics"}, set(), "output")
     cfg["output"] = {
-        "trajectory": output.get("trajectory", "trajectory.csv"),
-        "diagnostics": output.get("diagnostics", "diagnostics.json"),
+        key: _file_name(output.get(key, default), f"output.{key}")
+        for key, default in (("trajectory", "trajectory.csv"), ("diagnostics", "diagnostics.json"))
     }
+    if cfg["output"]["trajectory"] == cfg["output"]["diagnostics"]:
+        raise ConfigError("output.trajectory and output.diagnostics must differ")
     return cfg
 
 
@@ -261,13 +270,9 @@ def _validate_beam(cfg: dict):
         raise ConfigError("beam needs N > 4")
     mu, rho, dmu, drho = _build_mu_rho(params)
     system = beam_system(mu, rho, dmu, drho)
-    boundary = cfg.get("boundary", {})
-    keys = {"head_times", "head", "tail_times", "tail"}
-    _require_keys(boundary, keys, keys, "boundary")
-    timed = {key: _real(boundary[key], f"boundary.{key}", None) for key in keys}
+    blocks = [_boundary_block(cfg, key, None) for key in _TIMED_ENDS]
     try:
-        head = TimedPath(timed["head_times"], timed["head"])
-        tail = TimedPath(timed["tail_times"], timed["tail"])
+        head, tail = TimedPath(*blocks[:2]), TimedPath(*blocks[2:])
     except DimensionError as exc:
         raise ConfigError(f"bad beam boundary: {exc}")
     if head.times.shape[0] != 2 or tail.times.shape[0] != 2:
@@ -328,11 +333,6 @@ def _validate_custom(cfg: dict):
         degree=_integer(params.get("degree", 2), "degree"),
         break_partials=_flag(params.get("break_partials", False), "break_partials"),
     )
-    return system, N
-
-
-def _validate_custom_run(cfg: dict):
-    system, N = _validate_custom(cfg)
     head = _boundary_block(cfg, "head", (system.k, system.n))
     tail = _boundary_block(cfg, "tail", (system.k, system.n))
     return system, BoundaryData(head, tail, N)
@@ -390,6 +390,14 @@ def _report_payload(report) -> dict:
     }
 
 
+def _momentum_drift(system: ConstrainedSystem, state: StepState, steps: int, tol: float) -> float:
+    """Drift of the rotation momentum over ``steps`` steps from ``state``."""
+    traj = [state]
+    for _ in range(steps):
+        traj.append(step(system, traj[-1], tol=tol)[0])
+    return float(check_momentum_conservation(system, rotation_action(), traj))
+
+
 def _solve_bvp(problem, tol, max_iter):
     system, boundary = problem[:2]
     return solve_bvp(system, boundary, tol=tol, max_iter=max_iter)
@@ -410,13 +418,7 @@ def _write_sphere(cfg, problem, solution, diag, trajectory):
             diag["symplectic_defect"] = float(srep.defect_norm)
             diag["symplectic_restricted"] = bool(srep.restricted)
         if cfg["diagnostics"]["momentum"]:
-            traj = [state]
-            for _ in range(min(10, boundary.N)):
-                nxt, _ = step(system, traj[-1], tol=tol)
-                traj.append(nxt)
-            diag["momentum_drift"] = float(
-                check_momentum_conservation(system, rotation_action(), traj)
-            )
+            diag["momentum_drift"] = _momentum_drift(system, state, min(10, boundary.N), tol)
 
 
 def _solve_beam(problem, tol, max_iter):
@@ -456,18 +458,22 @@ def _write_custom(cfg, problem, solution, diag, trajectory):
     _write_csv(trajectory, np.arange(boundary.N + 1, dtype=float), path.nodes, lambdas)
 
 
-# system -> (validate the config, solve, write the trajectory and the
-# system's own diagnostics)
-_RUNS = {
-    "sphere-spline": (_validate_sphere, _solve_bvp, _write_sphere),
-    "beam": (_validate_beam, _solve_beam, _write_beam),
-    "ocp": (_validate_ocp, _solve_ocp, _write_ocp),
-    "custom-polynomial": (_validate_custom_run, _solve_bvp, _write_custom),
+# system -> (boundary keys, validate the config into a problem, solve it,
+# write the trajectory and the system's own diagnostics, the system that
+# check inspects).  The _solve_* adapters look the solvers up at call time.
+_SYSTEMS = {
+    "sphere-spline": (_ENDS, _validate_sphere, _solve_bvp, _write_sphere, lambda p: p[0]),
+    "beam": (_TIMED_ENDS, _validate_beam, _solve_beam, _write_beam, lambda p: extend(p[0])),
+    "ocp": (
+        _ENDS, _validate_ocp, _solve_ocp, _write_ocp,
+        lambda p: ConstrainedSystem(1, p[0].n + 1, p[0].lagrangian, ()),
+    ),
+    "custom-polynomial": (_ENDS, _validate_custom, _solve_bvp, _write_custom, lambda p: p[0]),
 }
 
 
 def run_command(cfg: dict, out_dir: str) -> int:
-    validate, solve, write = _RUNS[cfg["system"]]
+    _, validate, solve, write, _ = _SYSTEMS[cfg["system"]]
     os.makedirs(out_dir, exist_ok=True)
     problem = _validated(validate, cfg)
     diagnostics = os.path.join(out_dir, cfg["output"]["diagnostics"])
@@ -545,15 +551,9 @@ def check_command(cfg: dict) -> int:
         )
 
     name = cfg["system"]
-    if name == "ocp":
-        spec = _validated(_validate_ocp, cfg)[0]
-        system = ConstrainedSystem(1, spec.n + 1, spec.lagrangian, ())
-    elif name == "beam":
-        system = extend(_validated(_validate_beam, cfg)[0])
-    elif name == "sphere-spline":
-        system, _, r, h = _validated(_validate_sphere, cfg)
-    else:
-        system = _validated(_validate_custom, cfg)[0]
+    _, validate, _, _, checked = _SYSTEMS[name]
+    problem = _validated(validate, cfg)
+    system = checked(problem)
     add("gradient_check", _gradient_checks(system, rng), 1e-5)
     if name != "ocp":
         add(
@@ -562,18 +562,10 @@ def check_command(cfg: dict) -> int:
             1e-6,
         )
     if name == "sphere-spline":
-        state, tol = great_circle_state(r, h), cfg["solver"]["tol"]
+        state, tol = great_circle_state(*problem[2:]), cfg["solver"]["tol"]
         srep = check_symplecticity(system, state, tol=tol)
         add("symplectic_restricted_defect", srep.defect_norm, 1e-4)
-        traj = [state]
-        for _ in range(10):
-            nxt, _ = step(system, traj[-1], tol=tol)
-            traj.append(nxt)
-        add(
-            "momentum_drift",
-            check_momentum_conservation(system, rotation_action(), traj),
-            1e-8,
-        )
+        add("momentum_drift", _momentum_drift(system, state, 10, tol), 1e-8)
 
     passed = all(c["pass"] for c in checks)
     payload = {"system": name, "checks": checks, "passed": passed}

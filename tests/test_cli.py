@@ -221,6 +221,14 @@ def test_check_small_step_sphere_steps_at_solver_tol(tmp_path, capsys):
     assert by_name["momentum_drift"]["value"] < 1e-8
 
 
+def test_check_custom_polynomial_requires_the_boundary(tmp_path, capsys):
+    # check validates a config exactly as run does, boundary included
+    cfg = {"system": "custom-polynomial", "params": {"k": 2, "n": 1, "N": 6}}
+    path = write_config(tmp_path / "custom.json", cfg)
+    assert cli.main(["check", path]) == 1
+    assert "config error: boundary.head is required" in capsys.readouterr().err
+
+
 def test_polynomial_system_seed_reproducible():
     a = polynomial_system(1, 2, 1, seed=5)
     b = polynomial_system(1, 2, 1, seed=5)
@@ -301,6 +309,43 @@ def beam_overrides(params, **boundary):
         ocp_overrides(stiffness=[[1.0, "1"], [0.8, 2.0]]),
         beam_overrides({"mu": ["1"], "N": 10}),
         beam_overrides({"N": 10}, head_times=[False, 1.0]),
+        {"system": ["sphere-spline"]},
+        {"solver": {"max_iter": 0}},
+        {"boundary": {"tail": [circle(7), circle(8)]}},
+        dict(ocp_overrides(), boundary={"head": [[0.0, 0.0], [0.01, 0.005]]}),
+        {"params": {"r": 1.0, "h": 0.1, "N": 4}},
+        beam_overrides({"N": 4}),
+        ocp_overrides(N=4),
+        ocp_overrides(r=2),
+        ocp_overrides(h=0),
+        ocp_overrides(cost_weight=0),
+        {
+            "system": "custom-polynomial",
+            "params": {"k": 1, "n": 1, "N": 2},
+            "boundary": {"head": [[0.0]], "tail": [[1.0]]},
+        },
+        {
+            "system": "custom-polynomial",
+            "params": {"k": 0, "n": 1, "N": 4},
+            "boundary": {"head": [[0.0]], "tail": [[1.0]]},
+        },
+        {"pins": []},
+        beam_overrides({"N": 10}, head_times=[0.0, 1.0, 2.0], head=[0.0, 0.015, 0.03]),
+        beam_overrides({"N": 10}, head_times=[0.0, 1.0, 2.0]),
+        {"system": "beam", "params": {"N": 10}, "boundary": {"head_times": [0.0, 1.0]}},
+        {"boundary": {"head": [circle(1)], "tail": [circle(7), circle(8)]}},
+        {
+            "system": "custom-polynomial",
+            "params": {"k": 1, "n": 1, "N": 4, "degree": 1},
+            "boundary": {"head": [[0.0]], "tail": [[1.0]]},
+        },
+        {"params": []},
+        {"output": {"trajectory": 5}},
+        {"output": {"diagnostics": None}},
+        {"output": {"trajectory": ""}},
+        {"output": {"diagnostics": ".."}},
+        {"output": {"trajectory": "sub/t.csv"}},
+        {"output": {"trajectory": "x.json", "diagnostics": "x.json"}},
     ],
     ids=[
         "bad-number",
@@ -330,14 +375,57 @@ def beam_overrides(params, **boundary):
         "string-stiffness",
         "string-mu",
         "boolean-head-time",
+        "list-system",
+        "zero-max-iter",
+        "sphere-without-head",
+        "ocp-without-tail",
+        "sphere-N-4",
+        "beam-N-4",
+        "ocp-N-4",
+        "ocp-r-equals-n",
+        "ocp-zero-h",
+        "ocp-zero-cost-weight",
+        "custom-N-2k",
+        "custom-zero-k",
+        "list-pins",
+        "beam-three-head-times",
+        "beam-head-times-mismatch",
+        "beam-without-head",
+        "short-head",
+        "custom-degree-1",
+        "list-params",
+        "numeric-trajectory-name",
+        "null-diagnostics-name",
+        "empty-trajectory-name",
+        "parent-dir-diagnostics-name",
+        "trajectory-name-in-subdir",
+        "same-output-names",
     ],
 )
 @pytest.mark.parametrize("command", ["run", "check"])
 def test_bad_config_values_exit_1(tmp_path, capsys, overrides, command):
     path = sphere_config(tmp_path, **overrides)
-    args = [command, path] + (["--out", str(tmp_path / "out")] if command == "run" else [])
+    out = tmp_path / "out"
+    args = [command, path] + (["--out", str(out)] if command == "run" else [])
     assert cli.main(args) == 1
     assert "config error:" in capsys.readouterr().err
+    # rejected before the solve: nothing is written
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "contents", [None, "{", "[]"], ids=["missing-file", "invalid-json", "top-level-list"]
+)
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_unreadable_config_file_exits_1(tmp_path, capsys, contents, command):
+    path = tmp_path / "config.json"
+    if contents is not None:
+        path.write_text(contents)
+    out = tmp_path / "out"
+    args = [command, str(path)] + (["--out", str(out)] if command == "run" else [])
+    assert cli.main(args) == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -385,10 +473,14 @@ def test_load_config_rejects_misplaced_keys(tmp_path, make_config):
         load_config(make_config(tmp_path))
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-8"])
-def test_bad_tol_option_exits_1(tmp_path, capsys, tol):
+@pytest.mark.parametrize(
+    "option",
+    ["--tol=nan", "--tol=inf", "--tol=0", "--tol=-1e-8", "--max-iter=0"],
+    ids=["nan", "inf", "0", "-1e-8", "max-iter-0"],
+)
+def test_bad_tol_option_exits_1(tmp_path, capsys, option):
     out = tmp_path / "out"
-    assert cli.main(["run", sphere_config(tmp_path), "--out", str(out), f"--tol={tol}"]) == 1
+    assert cli.main(["run", sphere_config(tmp_path), "--out", str(out), option]) == 1
     assert "config error:" in capsys.readouterr().err
     assert not (out / "trajectory.csv").exists()
 
@@ -465,6 +557,12 @@ def test_run_ocp_writes_controls(tmp_path):
     diag = json.loads((out / "diagnostics.json").read_text())
     assert diag["converged"] is True
     assert len(diag["controls"]) == 11
+
+
+def test_check_ocp_runs_only_the_gradient_check(tmp_path, capsys):
+    assert cli.main(["check", ocp_config(tmp_path)]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [(c["name"], c["pass"]) for c in checks] == [("gradient_check", True)]
 
 
 def test_readme_example_config_runs(tmp_path):

@@ -560,6 +560,22 @@ def test_newton_solve_scalar_quadratic():
     assert x[0] == pytest.approx(2.0, abs=1e-10)
 
 
+def test_newton_converges_on_its_last_allowed_iteration():
+    # The README sphere takes 4 iterations.  Capped at 4, the solve meets
+    # tol after its last allowed step, so the test after the loop accepts it.
+    system = sphere_spline_system(1.0, 0.1)
+    nodes = circle_nodes(range(11), theta=0.1)
+    boundary = BoundaryData(nodes[:2], nodes[-2:], 10)
+    path, _, report = solve_bvp(system, boundary)
+    assert report.iterations == 4
+    capped, _, capped_report = solve_bvp(system, boundary, max_iter=4)
+    assert capped_report.converged and capped_report.iterations == 4
+    np.testing.assert_array_equal(capped.nodes, path.nodes)
+    with pytest.raises(NonConvergenceError) as info:
+        solve_bvp(system, boundary, max_iter=3)
+    assert info.value.report.iterations == 3
+
+
 class _Captured(Exception):
     pass
 
