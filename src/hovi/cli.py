@@ -474,8 +474,11 @@ _SYSTEMS = {
 
 def run_command(cfg: dict, out_dir: str) -> int:
     _, validate, solve, write, _ = _SYSTEMS[cfg["system"]]
-    os.makedirs(out_dir, exist_ok=True)
     problem = _validated(validate, cfg)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir!r}: {exc}") from exc
     diagnostics = os.path.join(out_dir, cfg["output"]["diagnostics"])
     diag: dict = {"system": cfg["system"]}
     try:

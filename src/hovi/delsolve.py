@@ -9,7 +9,8 @@ multiplier vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
+from math import comb
 
 import numpy as np
 
@@ -268,7 +269,9 @@ def _constraint_reads(system: ConstrainedSystem, window) -> np.ndarray:
     )
 
 
-def newton_solve(residual, x0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, pattern=None):
+def newton_solve(
+    residual, x0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, pattern=None, chord=False
+):
     """Damped Newton on a square nonlinear system.
 
     Every accepted iterate passes a sufficient-decrease test on the
@@ -279,6 +282,11 @@ def newton_solve(residual, x0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, patte
     iterate and at a guess that already meets tol, and
     NonConvergenceError (carrying the last accepted iterate) when the line
     search finds no decrease or at the iteration cap.
+
+    With chord set (simplified Newton), an iteration first tries the full
+    undamped step from the last Jacobian's SVD and accepts it when it at
+    least halves the residual; otherwise it builds and checks a new
+    Jacobian at the iterate and runs the damped ladder from there.
     """
     x = np.asarray(x0, dtype=float).copy()
     report = SolveReport()
@@ -295,34 +303,37 @@ def newton_solve(residual, x0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, patte
         jac = _fd_jacobian(residual, x, pattern, groups)
         report.jacobian_condition_estimate = _regular_svd(jac, "Newton Jacobian at the guess")[3]
 
+    kept = None
     for it in range(max_iter):
         if fnorm <= tol:
             report.converged = True
             return x, report
-        u, sv, vt, report.jacobian_condition_estimate = _regular_svd(
-            _fd_jacobian(residual, x, pattern, groups)
-        )
-        utf = u.T @ f
-
-        # Damped Newton with a Levenberg-Marquardt ladder.  Each rung
-        # backtracks under a sufficient-decrease test; near-degenerate
-        # systems (free-time problems are close to reparametrization
-        # invariance) blow the undamped step up along the smallest
-        # singular directions, and the damped rungs recover progress.
         best = None
-        for mu in (0.0, sv[0] * 1e-9, sv[0] * 1e-6, sv[0] * 1e-3, sv[0] * 1e-1):
-            dx = -vt.T @ (sv / (sv ** 2 + mu ** 2) * utf)
-            alpha = 1.0
-            for _ in range(12):
-                x_try = x + alpha * dx
-                f_try = np.asarray(residual(x_try), dtype=float)
-                fnorm_try = float(np.max(np.abs(f_try)))
-                if np.isfinite(fnorm_try) and fnorm_try <= (1.0 - 0.1 * alpha) * fnorm:
-                    best = (x_try, f_try, fnorm_try)
+        if kept is not None:
+            u, sv, vt = kept
+            best = _trial(residual, x - vt.T @ (sv / sv ** 2 * (u.T @ f)), 0.5 * fnorm)
+        if best is None:
+            u, sv, vt, report.jacobian_condition_estimate = _regular_svd(
+                _fd_jacobian(residual, x, pattern, groups)
+            )
+            kept = (u, sv, vt) if chord else None
+            utf = u.T @ f
+
+            # Damped Newton with a Levenberg-Marquardt ladder.  Each rung
+            # backtracks under a sufficient-decrease test; near-degenerate
+            # systems (free-time problems are close to reparametrization
+            # invariance) blow the undamped step up along the smallest
+            # singular directions, and the damped rungs recover progress.
+            for mu in (0.0, sv[0] * 1e-9, sv[0] * 1e-6, sv[0] * 1e-3, sv[0] * 1e-1):
+                dx = -vt.T @ (sv / (sv ** 2 + mu ** 2) * utf)
+                alpha = 1.0
+                for _ in range(12):
+                    best = _trial(residual, x + alpha * dx, (1.0 - 0.1 * alpha) * fnorm)
+                    if best is not None:
+                        break
+                    alpha *= 0.5
+                if best is not None:
                     break
-                alpha *= 0.5
-            if best is not None:
-                break
         if best is None:
             raise NonConvergenceError(
                 f"Newton line search found no decrease of the residual "
@@ -344,6 +355,15 @@ def newton_solve(residual, x0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, patte
         last_iterate=x,
         report=report,
     )
+
+
+def _trial(residual, x_try, bound):
+    """(x_try, f, max |f|) for f = residual(x_try) if max |f| <= bound, else None."""
+    f_try = np.asarray(residual(x_try), dtype=float)
+    fnorm_try = float(np.max(np.abs(f_try)))
+    if np.isfinite(fnorm_try) and fnorm_try <= bound:
+        return x_try, f_try, fnorm_try
+    return None
 
 
 def _fd_jacobian(residual, x, pattern=None, groups=None):
@@ -516,11 +536,14 @@ def _step_equations(system: ConstrainedSystem, state: StepState):
     last window factor it reads at state, so the equation pins the new
     node: on the final window for a constraint on its last factor, at the
     new node alone for a first-node constraint such as the sphere's.  x0
-    extrapolates the last two nodes.
+    takes the new node from the polynomial through the state's 2k nodes,
+    sum_{i=1}^{2k} (-1)^(i+1) C(2k, i) q_{2k-i} (2 q_1 - q_0 for k = 1),
+    and the multipliers from the last row.
     """
     k, n, m = system.k, system.n, system.m
     nq = state.checked(system).configs.size
-    guess = 2.0 * state.configs[-1] - state.configs[-2]
+    weights = [(-1) ** (i + 1) * comb(2 * k, i) for i in range(1, 2 * k + 1)]
+    guess = reduce(np.add, (w * q for w, q in zip(weights, state.configs[::-1])))
 
     # Last factor through which each constraint sees a node: determines
     # which window's constraint equation involves the new point.
@@ -549,11 +572,17 @@ def step(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ):
-    """Advance the one-step map by one node: solve _step_equations, then shift."""
+    """Advance the one-step map by one node: solve _step_equations, then shift.
+
+    The solve is a chord Newton (newton_solve with chord set), which
+    builds one Jacobian per step when the guess is close.
+    """
     n, m = system.n, system.m
     equations, x0 = _step_equations(system, state)
     z = state.flatten()
-    x, report = newton_solve(lambda x: equations(z, x), x0, tol=tol, max_iter=max_iter)
+    x, report = newton_solve(
+        lambda x: equations(z, x), x0, tol=tol, max_iter=max_iter, chord=True
+    )
     new_configs = np.vstack([state.configs[1:], x[:n].reshape(1, n)])
     new_mult = np.vstack([state.multipliers[1:], x[n:].reshape(1, m)])
     return StepState(new_configs, new_mult), report

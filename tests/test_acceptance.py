@@ -281,6 +281,25 @@ def test_criterion_6_time_dependent_energy():
     )
 
 
+def test_beam_step_map_reproduces_the_free_time_solve():
+    # The one-step map of the time-extended beam, started from the first
+    # four nodes (times included) of the N = 30 free-time solve, continues
+    # that solution node by node.
+    beam, head, tail = beam_instance()
+    timed, report = solve_free_times(beam, head, tail, N=30, tol=1e-9)
+    assert report.converged
+    nodes = timed.extended_nodes()
+    system = extend(beam)
+    state = StepState(nodes[:4], np.zeros((2, 0)))
+    worst = 0.0
+    for p in range(4, 9):
+        state, rep = step(system, state)
+        assert rep.converged
+        worst = max(worst, float(np.max(np.abs(state.configs[-1] - nodes[p]))))
+    assert worst < 1e-8
+    print(f"beam step map: PASS (nodes 4-8 within {worst:.2e})")
+
+
 def test_criterion_7_fixed_step_decoupling():
     h = 0.5
     base = second_difference_system(h=h)

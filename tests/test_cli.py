@@ -153,6 +153,23 @@ def test_run_malformed_config_exits_1(tmp_path):
     assert not (out / "trajectory.csv").exists()
 
 
+def test_run_rejected_config_creates_no_output_directory(tmp_path, capsys):
+    path = sphere_config(tmp_path, params={"r": 1.0, "h": 0.1, "N": 4})
+    out = tmp_path / "out"
+    assert cli.main(["run", path, "--out", str(out)]) == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_out_naming_a_file_exits_1(tmp_path, capsys):
+    path = custom_config(tmp_path)
+    out = tmp_path / "taken"
+    out.write_text("not a directory")
+    assert cli.main(["run", path, "--out", str(out)]) == 1
+    assert "config error: cannot create output directory" in capsys.readouterr().err
+    assert out.read_text() == "not a directory"
+
+
 def test_run_forced_nonconvergence_exits_2(tmp_path):
     path = sphere_config(tmp_path)
     out = tmp_path / "out"

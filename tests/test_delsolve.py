@@ -25,6 +25,7 @@ from hovi.errors import DimensionError, NonConvergenceError, NumericError, Regul
 from hovi.applications import (
     beam_system,
     solve_ocp,
+    sphere_multiplier,
     sphere_spline_system,
     underactuated_to_constrained,
 )
@@ -481,6 +482,91 @@ def test_step_continues_cubic():
     nxt, report = step(system, state)
     assert report.converged
     assert nxt.configs[-1, 0] == pytest.approx(64.0, abs=1e-10)
+
+
+def test_step_predictor_is_exact_on_a_cubic():
+    # The polynomial through the 2k = 4 nodes j^3 is the cubic itself, so
+    # the guess 64 already solves the step equations.
+    system = second_difference_system(h=1.0)
+    state = StepState(
+        np.array([float(j ** 3) for j in range(4)])[:, None], np.zeros((2, 0))
+    )
+    nxt, report = step(system, state)
+    assert report.iterations == 0
+    assert nxt.configs[-1, 0] == 64.0
+
+
+def seeded_sphere_state(seed, perturb=0.0):
+    """A sphere-spline (r = 1, h = 0.1) state on a random great circle.
+
+    The nodes are 0.03-0.08 apart, with the circle's closed-form
+    multipliers; perturb > 0 moves the nodes off the circle (back onto
+    the sphere) and draws the multipliers instead.
+    """
+    rng = np.random.default_rng(seed)
+    u, v = np.linalg.qr(rng.normal(size=(3, 2)))[0].T
+    theta = rng.uniform(0.03, 0.08)
+    nodes = np.array([np.cos(i * theta) * u + np.sin(i * theta) * v for i in range(6)])
+    lams = np.array([[sphere_multiplier(nodes[p - 2 : p + 3], 1.0, 0.1)] for p in (2, 3)])
+    nodes = nodes[:4]
+    if perturb:
+        nodes = nodes + perturb * rng.normal(size=nodes.shape)
+        nodes /= np.linalg.norm(nodes, axis=1)[:, None]
+        lams = rng.uniform(-0.02, 0.0, size=(2, 1))
+    return StepState(nodes, lams)
+
+
+def test_step_builds_one_jacobian_per_step(monkeypatch):
+    calls = count_jacobians(monkeypatch)
+    system = sphere_spline_system(1.0, 0.1)
+    iterations = steps = 0
+    for seed in range(4):
+        state = seeded_sphere_state(seed)
+        for _ in range(10):
+            state, report = step(system, state)
+            iterations += report.iterations
+            steps += 1
+    assert len(calls) == steps
+    # the kept Jacobian served the later iterations of a step
+    assert iterations > steps
+
+
+def test_chord_newton_rebuilds_when_the_kept_jacobian_stalls(monkeypatch):
+    # On x^3 - 1 from x = 3 the Jacobian 27 kept from the guess moves the
+    # first iterate 2.037 only to 1.761, which does not halve the residual,
+    # so the second Jacobian is built at 2.037.
+    calls = []
+    fd_jacobian = delsolve._fd_jacobian
+
+    def counted(residual, x, *args):
+        calls.append(float(x[0]))
+        return fd_jacobian(residual, x, *args)
+
+    monkeypatch.setattr(delsolve, "_fd_jacobian", counted)
+    x, report = newton_solve(lambda x: x ** 3 - 1.0, np.array([3.0]), chord=True)
+    assert report.converged
+    assert x[0] == pytest.approx(1.0, abs=1e-10)
+    hist = report.residual_history
+    assert all(b < a for a, b in zip(hist, hist[1:]))
+    assert calls[0] == 3.0
+    assert calls[1] == pytest.approx(3.0 - 26.0 / 27.0, abs=1e-6)
+    assert len(calls) < report.iterations
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_step_agrees_with_full_newton(seed):
+    # One step at a time from the same state, both solved to 1e-12 so that
+    # the comparison measures the chord iteration, not the tolerance: two
+    # solutions to a residual tol differ by up to cond(G_x) * tol.
+    system = sphere_spline_system(1.0, 0.1)
+    state = seeded_sphere_state(seed, perturb=2e-3)
+    nxt, _ = step(system, state, tol=1e-12)
+    equations, x0 = delsolve._step_equations(system, state)
+    z = state.flatten()
+    x, report = newton_solve(lambda x: equations(z, x), x0, tol=1e-12)
+    assert report.converged
+    chord = np.concatenate([nxt.configs[-1], nxt.multipliers[-1]])
+    np.testing.assert_allclose(chord, x, rtol=0, atol=1e-9)
 
 
 def test_step_rejects_singular_equations_solved_by_the_guess():
